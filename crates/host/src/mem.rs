@@ -101,24 +101,38 @@ impl HostMem {
         }
         Ok((off, end))
     }
+
+    /// Checked view of `len` bytes of a task's memory at `vaddr`, for
+    /// applications that inspect their buffer in place.
+    pub fn user_slice(&self, task: TaskId, vaddr: u64, len: usize) -> Result<&[u8], MemFault> {
+        let (off, end) = self.slice_of(task, vaddr, len)?;
+        Ok(&self.regions[&task].data[off..end])
+    }
+
+    /// Checked mutable view of `len` bytes of a task's memory at `vaddr`,
+    /// for applications that fill their buffer in place.
+    pub fn user_slice_mut(
+        &mut self,
+        task: TaskId,
+        vaddr: u64,
+        len: usize,
+    ) -> Result<&mut [u8], MemFault> {
+        let (off, end) = self.slice_of(task, vaddr, len)?;
+        let fault = MemFault { task, vaddr, len };
+        let region = self.regions.get_mut(&task).ok_or(fault)?;
+        Ok(&mut region.data[off..end])
+    }
 }
 
 impl UserMemory for HostMem {
     fn read_user(&self, task: TaskId, vaddr: u64, dst: &mut [u8]) -> Result<(), MemFault> {
-        let (off, end) = self.slice_of(task, vaddr, dst.len())?;
-        dst.copy_from_slice(&self.regions[&task].data[off..end]);
+        dst.copy_from_slice(self.user_slice(task, vaddr, dst.len())?);
         Ok(())
     }
 
     fn write_user(&mut self, task: TaskId, vaddr: u64, src: &[u8]) -> Result<(), MemFault> {
-        let (off, end) = self.slice_of(task, vaddr, src.len())?;
-        let fault = MemFault {
-            task,
-            vaddr,
-            len: src.len(),
-        };
-        let region = self.regions.get_mut(&task).ok_or(fault)?;
-        region.data[off..end].copy_from_slice(src);
+        self.user_slice_mut(task, vaddr, src.len())?
+            .copy_from_slice(src);
         Ok(())
     }
 }
@@ -153,6 +167,27 @@ mod tests {
         assert!(hm.write_user(t, 0x1000 + 96, &buf).is_err());
         // Exactly at the end is fine.
         assert!(hm.read_user(t, 0x1000 + 92, &mut buf).is_ok());
+    }
+
+    #[test]
+    fn user_slices_share_the_fault_checks() {
+        let mut hm = HostMem::new();
+        let t = TaskId(1);
+        hm.create_region(t, 0x1000, 100);
+        hm.user_slice_mut(t, 0x1000 + 10, 4)
+            .unwrap()
+            .copy_from_slice(&[9, 8, 7, 6]);
+        assert_eq!(hm.user_slice(t, 0x1000 + 10, 4).unwrap(), &[9, 8, 7, 6]);
+        assert_eq!(hm.user_slice(t, 0x1000 + 100, 0).unwrap(), &[] as &[u8]);
+        let overrun = MemFault {
+            task: t,
+            vaddr: 0x1000 + 96,
+            len: 8,
+        };
+        assert_eq!(hm.user_slice(t, 0x1000 + 96, 8), Err(overrun));
+        assert_eq!(hm.user_slice_mut(t, 0x1000 + 96, 8).err(), Some(overrun));
+        assert!(hm.user_slice(t, 0xFF0, 4).is_err());
+        assert!(hm.user_slice_mut(TaskId(9), 0x1000, 4).is_err());
     }
 
     #[test]

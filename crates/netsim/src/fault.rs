@@ -29,7 +29,18 @@ pub struct FaultStats {
     pub duplicated: u64,
     /// Frames corrupted in a checksum-preserving way (test-only planted bug).
     pub stealth_corrupted: u64,
+    /// Frames with two payload ranges swapped in a checksum-preserving way
+    /// (test-only planted bug).
+    pub stealth_misplaced: u64,
 }
+
+/// Leading frame bytes the stealth faults leave alone, so they land in
+/// application payload rather than in link/IP/TCP header fields.
+const HEADER_SKIP: usize = 128;
+
+/// Length of each range a stealth misplace swaps, and the distance between
+/// them: one 8 KB page.
+const MISPLACE_SPAN: usize = 8192;
 
 /// The fate drawn for one frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,6 +86,8 @@ pub struct FaultInjector {
     pub dup_p: f64,
     rng: Pcg32,
     forced: VecDeque<ForcedFault>,
+    /// Stealth misplaces waiting for a frame long enough to take one.
+    misplaces_armed: u32,
     /// Cumulative fate counts.
     pub stats: FaultStats,
     /// Optional buffer pool for corruption copies (the only fates that
@@ -93,6 +106,7 @@ impl FaultInjector {
             dup_p: 0.0,
             rng: Pcg32::new(seed),
             forced: VecDeque::new(),
+            misplaces_armed: 0,
             stats: FaultStats::default(),
             pool: None,
         }
@@ -181,6 +195,13 @@ impl FaultInjector {
         self.forced.push_back(ForcedFault::StealthCorrupt);
     }
 
+    /// Arm a checksum-preserving page swap for the next frame long enough
+    /// to take one (see [`FaultInjector::fate`]): the planted bug that
+    /// delivers one page's bytes at another page's stream offset.
+    pub fn arm_stealth_misplace(&mut self) {
+        self.misplaces_armed += 1;
+    }
+
     fn corrupt(&mut self, payload: &Bytes) -> Bytes {
         self.stats.corrupted += 1;
         if payload.is_empty() {
@@ -202,7 +223,6 @@ impl FaultInjector {
     /// semantics TCP would notice. If the payload has no such pair (e.g. a
     /// constant fill), it is delivered untouched.
     fn stealth_corrupt(&mut self, payload: &Bytes) -> Bytes {
-        const HEADER_SKIP: usize = 128;
         if payload.len() < HEADER_SKIP + 4 {
             return payload.clone();
         }
@@ -233,9 +253,42 @@ impl FaultInjector {
         payload.clone()
     }
 
+    /// Swap the two [`MISPLACE_SPAN`]-byte ranges that start
+    /// [`HEADER_SKIP`] and `HEADER_SKIP + MISPLACE_SPAN` bytes into
+    /// `payload`, which must be at least `HEADER_SKIP + 2 * MISPLACE_SPAN`
+    /// long.
+    ///
+    /// Both ranges start at even offsets and have even length, so the swap
+    /// only permutes the checksum's 16-bit words and leaves the
+    /// ones'-complement sum exactly unchanged. Under a payload whose period
+    /// divides the span the two ranges are identical and the swap is a no-op.
+    fn stealth_misplace(&mut self, payload: &Bytes) -> Bytes {
+        self.stats.stealth_misplaced += 1;
+        self.edited_copy(payload, |buf| {
+            let (first, rest) = buf[HEADER_SKIP..].split_at_mut(MISPLACE_SPAN);
+            first.swap_with_slice(&mut rest[..MISPLACE_SPAN]);
+        })
+    }
+
     /// Draw the fate of one frame.
+    ///
+    /// Forced faults take the next frames in order. An armed stealth
+    /// misplace then takes the next frame at least
+    /// `HEADER_SKIP + 2 * MISPLACE_SPAN` bytes long; shorter frames pass it
+    /// by and keep it armed.
     pub fn fate(&mut self, payload: Bytes) -> Fate {
         self.stats.offered += 1;
+        if self.forced.is_empty()
+            && self.misplaces_armed > 0
+            && payload.len() >= HEADER_SKIP + 2 * MISPLACE_SPAN
+        {
+            self.misplaces_armed -= 1;
+            return Fate::Deliver {
+                payload: self.stealth_misplace(&payload),
+                extra_delay: Dur::ZERO,
+                duplicate: false,
+            };
+        }
         if let Some(forced) = self.forced.pop_front() {
             return match forced {
                 ForcedFault::Drop => {
@@ -522,6 +575,63 @@ mod tests {
             Fate::Drop => panic!(),
         }
         assert_eq!(f.stats.stealth_corrupted, 0);
+    }
+
+    #[test]
+    fn stealth_misplace_swaps_pages_and_keeps_the_checksum() {
+        let len = HEADER_SKIP + 2 * MISPLACE_SPAN + 100;
+        let swap = |data: &Bytes| {
+            let mut f = FaultInjector::none(11);
+            f.arm_stealth_misplace();
+            // A frame too short to take the swap passes untouched and
+            // leaves it armed.
+            let short = data.slice(..HEADER_SKIP + 2 * MISPLACE_SPAN - 1);
+            assert_eq!(
+                f.fate(short.clone()),
+                Fate::Deliver {
+                    payload: short,
+                    extra_delay: Dur::ZERO,
+                    duplicate: false,
+                }
+            );
+            let Fate::Deliver { payload, .. } = f.fate(data.clone()) else {
+                panic!("a misplace never drops");
+            };
+            assert_eq!(f.stats.stealth_misplaced, 1);
+            // Disarmed after one swap.
+            assert_eq!(
+                f.fate(data.clone()),
+                Fate::Deliver {
+                    payload: data.clone(),
+                    extra_delay: Dur::ZERO,
+                    duplicate: false,
+                }
+            );
+            assert_eq!(ones_sum(&payload), ones_sum(data), "checksum must survive");
+            payload
+        };
+
+        // The old 256-periodic ttcp pattern: the two pages are identical, so
+        // the swap changes nothing (the blind spot).
+        let periodic: Bytes = (0..len as u32)
+            .map(|i| i.wrapping_mul(2654435761).to_le_bytes()[0])
+            .collect::<Vec<u8>>()
+            .into();
+        assert_eq!(swap(&periodic), periodic);
+
+        // A position-unique word stream, as the ttcp payload now is: the
+        // two pages trade places byte for byte.
+        let unique: Bytes = (0..len)
+            .map(|i| outboard_sim::splitmix64_at(1, (i / 8) as u64).to_le_bytes()[i % 8])
+            .collect::<Vec<u8>>()
+            .into();
+        let out = swap(&unique);
+        let (a, b) = (HEADER_SKIP, HEADER_SKIP + MISPLACE_SPAN);
+        assert_eq!(&out[..a], &unique[..a]);
+        assert_eq!(&out[a..b], &unique[b..b + MISPLACE_SPAN]);
+        assert_eq!(&out[b..b + MISPLACE_SPAN], &unique[a..b]);
+        assert_eq!(&out[b + MISPLACE_SPAN..], &unique[b + MISPLACE_SPAN..]);
+        assert_ne!(out, unique);
     }
 
     #[test]

@@ -228,6 +228,11 @@ impl Link {
         s.counter("faults.reordered", f.reordered);
         s.counter("faults.duplicated", f.duplicated);
         s.counter("faults.stealth_corrupted", f.stealth_corrupted);
+        // Published only once planted, so runs without it keep
+        // byte-identical registries.
+        if f.stealth_misplaced > 0 {
+            s.counter("faults.stealth_misplaced", f.stealth_misplaced);
+        }
     }
 }
 

@@ -19,7 +19,7 @@ use std::fmt;
 
 /// One typed fault action. Durable actions carry the window length and are
 /// healed by the injector when the window closes; instantaneous actions
-/// (wedge, crash, stealth corrupt) fire once.
+/// (wedge, crash, stealth corrupt, stealth misplace) fire once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosAction {
     /// Take host `host`'s forward link down for `dur` (frames offered while
@@ -86,6 +86,15 @@ pub enum ChaosAction {
         /// Host whose next outbound frame is stealth-corrupted.
         host: usize,
     },
+    /// Test-only planted bug: on the next frame on host `host`'s outbound
+    /// link with at least two 8 KB pages of payload, swap two pages. The
+    /// swap preserves the Internet checksum, so only an oracle whose
+    /// payload differs page to page can see it. Never emitted by
+    /// [`ChaosSchedule::generate`].
+    StealthMisplace {
+        /// Host whose next long-enough outbound frame has two pages swapped.
+        host: usize,
+    },
 }
 
 impl ChaosAction {
@@ -99,7 +108,8 @@ impl ChaosAction {
             | ChaosAction::HostPause { dur, .. } => Some(dur),
             ChaosAction::CabWedge { .. }
             | ChaosAction::BoardCrash { .. }
-            | ChaosAction::StealthCorrupt { .. } => None,
+            | ChaosAction::StealthCorrupt { .. }
+            | ChaosAction::StealthMisplace { .. } => None,
         }
     }
 
@@ -135,6 +145,7 @@ impl ChaosAction {
             ChaosAction::NetmemSqueeze { .. } => "netmem_squeeze",
             ChaosAction::HostPause { .. } => "host_pause",
             ChaosAction::StealthCorrupt { .. } => "stealth_corrupt",
+            ChaosAction::StealthMisplace { .. } => "stealth_misplace",
         }
     }
 }
@@ -175,6 +186,7 @@ impl fmt::Display for ChaosAction {
                 write!(f, "host_pause(host{host}, {}us)", dur.as_nanos() / 1_000)
             }
             ChaosAction::StealthCorrupt { host } => write!(f, "stealth_corrupt(host{host})"),
+            ChaosAction::StealthMisplace { host } => write!(f, "stealth_misplace(host{host})"),
         }
     }
 }
@@ -200,8 +212,9 @@ pub struct ChaosSchedule {
 
 impl ChaosSchedule {
     /// Generate a random schedule of `n_events` faults across `hosts` hosts
-    /// from `seed`. The palette deliberately excludes [`ChaosAction::StealthCorrupt`]
-    /// (the planted-bug action): every generated schedule describes faults the
+    /// from `seed`. The palette deliberately excludes
+    /// [`ChaosAction::StealthCorrupt`] and [`ChaosAction::StealthMisplace`]
+    /// (the planted-bug actions): every generated schedule describes faults the
     /// stack is *supposed* to survive, so a clean implementation passes the
     /// oracle on every seed.
     ///
@@ -295,7 +308,9 @@ impl ChaosSchedule {
                 ChaosAction::CabWedge { host, mdma } => {
                     s.push_str(&format!(", \"host\": {host}, \"mdma\": {mdma}"));
                 }
-                ChaosAction::BoardCrash { host } | ChaosAction::StealthCorrupt { host } => {
+                ChaosAction::BoardCrash { host }
+                | ChaosAction::StealthCorrupt { host }
+                | ChaosAction::StealthMisplace { host } => {
                     s.push_str(&format!(", \"host\": {host}"));
                 }
                 ChaosAction::NetmemSqueeze {
@@ -428,6 +443,9 @@ fn parse_event(v: &json::Value) -> Result<ChaosEvent, ChaosParseError> {
             dur: Dur::nanos(req_u64(obj, "dur_ns")?),
         },
         "stealth_corrupt" => ChaosAction::StealthCorrupt {
+            host: req_u64(obj, "host")? as usize,
+        },
+        "stealth_misplace" => ChaosAction::StealthMisplace {
             host: req_u64(obj, "host")? as usize,
         },
         other => return Err(err(&format!("unknown kind \"{other}\""))),
@@ -871,14 +889,32 @@ mod tests {
     }
 
     #[test]
+    fn stealth_misplace_round_trips_through_json() {
+        let s = ChaosSchedule {
+            seed: 3,
+            events: vec![ChaosEvent {
+                at: Dur::micros(12_345),
+                action: ChaosAction::StealthMisplace { host: 1 },
+            }],
+        };
+        let text = s.to_json();
+        assert!(text.contains("\"kind\": \"stealth_misplace\", \"host\": 1"));
+        let back = ChaosSchedule::from_json(&text).expect("parse");
+        assert_eq!(back, s);
+        assert_eq!(back.to_json(), text);
+        assert_eq!(back.events[0].action.to_string(), "stealth_misplace(host1)");
+    }
+
+    #[test]
     fn generate_never_emits_stealth_corrupt() {
         for seed in 0..64 {
             let s = ChaosSchedule::generate(seed, 20, 2);
             assert!(
-                s.events
-                    .iter()
-                    .all(|e| !matches!(e.action, ChaosAction::StealthCorrupt { .. })),
-                "seed {seed} emitted the planted-bug action"
+                s.events.iter().all(|e| !matches!(
+                    e.action,
+                    ChaosAction::StealthCorrupt { .. } | ChaosAction::StealthMisplace { .. }
+                )),
+                "seed {seed} emitted a planted-bug action"
             );
         }
     }

@@ -50,7 +50,7 @@ pub use engine::{EngineKind, EventEngine};
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
 pub use pool::{BufPool, PoolStats, Ticket};
 pub use queue::EventQueue;
-pub use rng::{check_probability, FaultConfigError, Pcg32};
+pub use rng::{check_probability, splitmix64_at, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};
 pub use time::{Dur, Time};
 pub use timeline::{SeriesId, SeriesKind, Timeline};

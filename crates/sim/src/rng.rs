@@ -46,12 +46,29 @@ pub struct Pcg32 {
 
 const PCG_MULT: u64 = 6364136223846793005;
 
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *x;
+/// SplitMix64's Weyl-sequence increment.
+const SPLITMIX_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// SplitMix64's output mix: a bijection on `u64`.
+fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(SPLITMIX_GAMMA);
+    splitmix64_mix(*x)
+}
+
+/// Output `n` (0-based) of the SplitMix64 stream seeded with `seed`.
+///
+/// Random access into the stream: any word is computable on its own, so a
+/// keyed payload can be generated or checked from any offset. The mix is a
+/// bijection and the Weyl state steps by an odd constant, so within one key
+/// the first 2^64 outputs are pairwise distinct.
+pub fn splitmix64_at(seed: u64, n: u64) -> u64 {
+    splitmix64_mix(seed.wrapping_add(n.wrapping_add(1).wrapping_mul(SPLITMIX_GAMMA)))
 }
 
 impl Pcg32 {
@@ -198,6 +215,14 @@ mod tests {
         for _ in 0..100 {
             assert!(!rng.chance(0.0));
             assert!(rng.chance(1.0));
+        }
+    }
+
+    #[test]
+    fn splitmix64_at_is_random_access_into_the_stream() {
+        let mut x = 0xfeed_u64;
+        for n in 0..100 {
+            assert_eq!(splitmix64_at(0xfeed, n), splitmix64(&mut x), "output {n}");
         }
     }
 

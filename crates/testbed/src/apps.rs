@@ -5,11 +5,91 @@ use crate::world::{App, Step, SysCtx};
 use bytes::Bytes;
 use outboard_host::TaskId;
 use outboard_mbuf::Chain;
+use outboard_sim::splitmix64_at;
 use outboard_stack::{Proto, ReadResult, SockAddr, SockId, StackError, WriteResult};
 
 /// Per-write user-mode loop overhead of ttcp (µs) — the tiny amount of
 /// user time the paper's ttcp consumes per iteration.
 const TTCP_LOOP_US: f64 = 3.0;
+
+/// Key of the ttcp payload stream.
+const TTCP_KEY: u64 = 0x7474_6370_5061_7944;
+
+/// Key of the stream that draws each file-server block's own key.
+const FILE_KEY: u64 = 0x6669_6c65_426c_6f63;
+
+/// Word `w` of the ttcp payload: stream bytes `8w..8w + 8`, little-endian.
+///
+/// A keyed SplitMix64 stream over the word index, so every 8-byte-aligned
+/// word of a transfer differs from every other one. A page delivered at
+/// the wrong stream offset therefore fails the receiver's check, which a
+/// short-period byte pattern would let through.
+fn ttcp_word(w: u64) -> u64 {
+    splitmix64_at(TTCP_KEY, w)
+}
+
+/// The byte every ttcp transfer places at stream offset `i`: the
+/// byte-level reference for the word stream the sender writes.
+pub fn ttcp_pattern(i: usize) -> u8 {
+    stream_byte(ttcp_word, i)
+}
+
+/// Byte `i` of the little-endian stream of words `word`.
+fn stream_byte(word: impl Fn(u64) -> u64, i: usize) -> u8 {
+    word((i / 8) as u64).to_le_bytes()[i % 8]
+}
+
+/// Split a buffer holding stream bytes `off..` into its unaligned head
+/// length and the index of the first whole word after it.
+fn word_split(off: usize, len: usize) -> (usize, u64) {
+    let head = ((8 - off % 8) % 8).min(len);
+    (head, ((off + head) / 8) as u64)
+}
+
+/// Write stream bytes `off..off + buf.len()` of `word` into `buf`, a word
+/// at a time.
+fn fill_stream(word: impl Fn(u64) -> u64, off: usize, buf: &mut [u8]) {
+    let (head, w0) = word_split(off, buf.len());
+    let (head_buf, body) = buf.split_at_mut(head);
+    for (k, b) in head_buf.iter_mut().enumerate() {
+        *b = stream_byte(&word, off + k);
+    }
+    let mut words = body.chunks_exact_mut(8);
+    let mut w = w0;
+    for chunk in &mut words {
+        chunk.copy_from_slice(&word(w).to_le_bytes());
+        w += 1;
+    }
+    for (k, b) in words.into_remainder().iter_mut().enumerate() {
+        *b = stream_byte(&word, 8 * w as usize + k);
+    }
+}
+
+/// Count the bytes of `buf` that differ from stream bytes
+/// `off..off + buf.len()` of `word`, comparing a word at a time.
+fn stream_mismatches(word: impl Fn(u64) -> u64, off: usize, buf: &[u8]) -> u64 {
+    let (head, w0) = word_split(off, buf.len());
+    let (head_buf, body) = buf.split_at(head);
+    let mut bad = 0u64;
+    for (k, &b) in head_buf.iter().enumerate() {
+        bad += u64::from(b != stream_byte(&word, off + k));
+    }
+    let words = body.chunks_exact(8);
+    let tail = words.remainder();
+    let mut w = w0;
+    for chunk in words {
+        let got = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
+        let diff = got ^ word(w);
+        if diff != 0 {
+            bad += diff.to_le_bytes().iter().filter(|&&d| d != 0).count() as u64;
+        }
+        w += 1;
+    }
+    for (k, &b) in tail.iter().enumerate() {
+        bad += u64::from(b != stream_byte(&word, 8 * w as usize + k));
+    }
+    bad
+}
 
 /// Sender states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,13 +118,6 @@ pub struct TtcpSender {
     pub bytes_written: usize,
     /// write(2) calls completed.
     pub writes: u64,
-    /// Deterministic payload function so the receiver can verify integrity.
-    pub pattern: fn(usize) -> u8,
-}
-
-/// The byte every ttcp transfer places at stream offset `i`.
-pub fn ttcp_pattern(i: usize) -> u8 {
-    (i as u32).wrapping_mul(2654435761).to_le_bytes()[0]
 }
 
 impl TtcpSender {
@@ -60,7 +133,6 @@ impl TtcpSender {
             state: TxState::Start,
             bytes_written: 0,
             writes: 0,
-            pattern: ttcp_pattern,
         }
     }
 
@@ -69,17 +141,14 @@ impl TtcpSender {
         self.sock
     }
 
-    fn fill_buffer(&self, ctx: &mut SysCtx<'_>) {
+    fn fill_buffer(&self, ctx: &mut SysCtx<'_>, len: usize) {
         // The user buffer holds the stream bytes for the *next* write; ttcp
         // reuses one buffer, so refill per write with the right offsets.
-        let mut data = vec![0u8; self.write_size];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (self.pattern)(self.bytes_written + i);
-        }
-        use outboard_host::UserMemory;
-        ctx.mem
-            .write_user(self.task, self.buf_vaddr, &data)
+        let buf = ctx
+            .mem
+            .user_slice_mut(self.task, self.buf_vaddr, len)
             .expect("sender buffer");
+        fill_stream(ttcp_word, self.bytes_written, buf);
     }
 }
 
@@ -141,7 +210,7 @@ impl TtcpSender {
         }
         ctx.user_cpu(TTCP_LOOP_US);
         let len = self.write_size.min(self.total_bytes - self.bytes_written);
-        self.fill_buffer(ctx);
+        self.fill_buffer(ctx, len);
         let r = ctx.kernel.sys_write(
             self.sock.unwrap(),
             self.task,
@@ -203,8 +272,6 @@ pub struct TtcpReceiver {
     pub verify: bool,
     /// Bytes that did not match the pattern.
     pub verify_errors: u64,
-    /// Expected byte at each stream offset.
-    pub pattern: fn(usize) -> u8,
 }
 
 impl TtcpReceiver {
@@ -223,7 +290,6 @@ impl TtcpReceiver {
             pending_dma: None,
             verify: true,
             verify_errors: 0,
-            pattern: ttcp_pattern,
         }
     }
 
@@ -236,16 +302,11 @@ impl TtcpReceiver {
         if !self.verify {
             return;
         }
-        use outboard_host::UserMemory;
-        let mut data = vec![0u8; len];
-        ctx.mem
-            .read_user(self.task, self.buf_vaddr, &mut data)
+        let buf = ctx
+            .mem
+            .user_slice(self.task, self.buf_vaddr, len)
             .expect("receiver buffer");
-        for (i, &b) in data.iter().enumerate() {
-            if b != (self.pattern)(base_off + i) {
-                self.verify_errors += 1;
-            }
-        }
+        self.verify_errors += stream_mismatches(ttcp_word, base_off, buf);
     }
 }
 
@@ -358,11 +419,17 @@ pub struct KernelFileServer {
     pub block_size: usize,
 }
 
+/// The word stream of block `block`'s deterministic "disk" contents: the
+/// ttcp payload's generator under a per-block key, so contents have no
+/// short period within a block and differ from block to block.
+fn file_block_words(block: u32) -> impl Fn(u64) -> u64 {
+    let key = splitmix64_at(FILE_KEY, u64::from(block));
+    move |w| splitmix64_at(key, w)
+}
+
 /// Deterministic "disk" contents for block `b`, offset `i`.
 pub fn file_block_byte(block: u32, i: usize) -> u8 {
-    ((block as usize)
-        .wrapping_mul(31)
-        .wrapping_add(i.wrapping_mul(7))) as u8
+    stream_byte(file_block_words(block), i)
 }
 
 impl KernelFileServer {
@@ -412,11 +479,9 @@ impl App for KernelFileServer {
             let count = count.min(self.block_size);
             // Build the response as a shared kernel mbuf chain (share
             // semantics: no copy on the way down).
-            let mut resp = Vec::with_capacity(4 + count);
-            resp.extend_from_slice(&block.to_be_bytes());
-            for i in 0..count {
-                resp.push(file_block_byte(block, i));
-            }
+            let mut resp = vec![0u8; 4 + count];
+            resp[..4].copy_from_slice(&block.to_be_bytes());
+            fill_stream(file_block_words(block), 0, &mut resp[4..]);
             let resp = Chain::from_bytes(Bytes::from(resp));
             let fx = ctx
                 .kernel
@@ -491,10 +556,9 @@ impl FileClient {
     }
 
     fn check_reply(&mut self, ctx: &mut SysCtx<'_>, bytes: usize) {
-        use outboard_host::UserMemory;
-        let mut data = vec![0u8; bytes];
-        ctx.mem
-            .read_user(self.task, self.buf_vaddr, &mut data)
+        let data = ctx
+            .mem
+            .user_slice(self.task, self.buf_vaddr, bytes)
             .expect("client buffer");
         if bytes < 4 {
             self.verify_errors += 1;
@@ -503,11 +567,7 @@ impl FileClient {
             if block != self.next_block {
                 self.verify_errors += 1;
             }
-            for (i, &b) in data[4..].iter().enumerate() {
-                if b != file_block_byte(block, i) {
-                    self.verify_errors += 1;
-                }
-            }
+            self.verify_errors += stream_mismatches(file_block_words(block), 0, &data[4..]);
         }
         self.blocks_received += 1;
         self.next_block += 1;
@@ -580,5 +640,96 @@ impl App for FileClient {
             Err(StackError::InvalidState(_)) => Step::Wait,
             Err(e) => panic!("file client read: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte-level reference for [`fill_stream`].
+    fn reference(off: usize, len: usize) -> Vec<u8> {
+        (off..off + len).map(ttcp_pattern).collect()
+    }
+
+    #[test]
+    fn fill_matches_the_byte_reference_at_every_alignment() {
+        for off in 0..16 {
+            for len in 0..40 {
+                let mut buf = vec![0xA5; len];
+                fill_stream(ttcp_word, off, &mut buf);
+                assert_eq!(buf, reference(off, len), "off {off} len {len}");
+                assert_eq!(stream_mismatches(ttcp_word, off, &buf), 0);
+            }
+        }
+        let off = 3 * 8192 + 5;
+        let mut big = vec![0; 1 << 20];
+        fill_stream(ttcp_word, off, &mut big);
+        assert_eq!(big, reference(off, 1 << 20));
+    }
+
+    #[test]
+    fn mismatch_counts_are_exact_bytes() {
+        for off in 0..16 {
+            for len in 1..40 {
+                let good = reference(off, len);
+                for at in [0, len / 2, len - 1] {
+                    let mut bad = good.clone();
+                    bad[at] ^= 0x10;
+                    assert_eq!(
+                        stream_mismatches(ttcp_word, off, &bad),
+                        1,
+                        "off {off} len {len} flip at {at}"
+                    );
+                }
+                // Every byte wrong.
+                let inverted: Vec<u8> = good.iter().map(|b| !b).collect();
+                assert_eq!(stream_mismatches(ttcp_word, off, &inverted), len as u64);
+            }
+        }
+        // Two swapped 8 KB pages of a 1 MiB buffer: the count is exactly the
+        // number of byte positions where the pages differ, twice.
+        let off = 8192;
+        let good = reference(off, 1 << 20);
+        let mut swapped = good.clone();
+        let (a, b) = (5 * 8192, 9 * 8192);
+        let differing = (0..8192).filter(|&k| good[a + k] != good[b + k]).count() as u64;
+        assert!(differing > 8000, "pages should be unrelated: {differing}");
+        let (lo, hi) = swapped.split_at_mut(b);
+        lo[a..a + 8192].swap_with_slice(&mut hi[..8192]);
+        assert_eq!(stream_mismatches(ttcp_word, off, &swapped), 2 * differing);
+        let flipped = {
+            let mut v = good;
+            v[12345] ^= 1;
+            v
+        };
+        assert_eq!(stream_mismatches(ttcp_word, off, &flipped), 1);
+    }
+
+    #[test]
+    fn every_page_of_a_16_mib_stream_is_distinct() {
+        let mut stream = vec![0u8; 16 << 20];
+        fill_stream(ttcp_word, 0, &mut stream);
+        let mut pages: Vec<&[u8]> = stream.chunks_exact(8192).collect();
+        assert_eq!(pages.len(), 2048);
+        pages.sort_unstable();
+        pages.dedup();
+        assert_eq!(pages.len(), 2048, "two pages of the stream are identical");
+    }
+
+    #[test]
+    fn file_blocks_share_the_generator_and_do_not_repeat() {
+        let mut block = vec![0u8; 8192];
+        fill_stream(file_block_words(7), 0, &mut block);
+        for (i, &b) in block.iter().enumerate() {
+            assert_eq!(b, file_block_byte(7, i));
+        }
+        // No 256-byte period within a block, and block numbers 256 apart
+        // hold different contents.
+        assert_ne!(block[..256], block[256..512]);
+        let other: Vec<u8> = (0..8192).map(|i| file_block_byte(7 + 256, i)).collect();
+        assert_ne!(block, other);
+        assert_eq!(stream_mismatches(file_block_words(7), 0, &block), 0);
+        assert!(stream_mismatches(file_block_words(8), 0, &block) > 8000);
     }
 }

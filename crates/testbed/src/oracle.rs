@@ -25,13 +25,14 @@ use outboard_sim::MetricsRegistry;
 
 /// Fault fates that must aggregate exactly from per-link counters to the
 /// `world.faults.*` totals.
-pub const FAULT_FATES: [&str; 6] = [
+pub const FAULT_FATES: [&str; 7] = [
     "offered",
     "dropped",
     "corrupted",
     "reordered",
     "duplicated",
     "stealth_corrupted",
+    "stealth_misplaced",
 ];
 
 /// Extract the stable category token from a violation string

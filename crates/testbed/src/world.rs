@@ -163,6 +163,8 @@ pub struct ChaosStats {
     pub host_pauses: u64,
     /// Stealth (checksum-preserving) corruptions armed.
     pub stealth_corrupts: u64,
+    /// Stealth (checksum-preserving) page swaps armed.
+    pub stealth_misplaces: u64,
     /// Events re-queued because their host was paused.
     pub deferred_events: u64,
 }
@@ -342,6 +344,7 @@ impl World {
                     ChaosAction::NetmemSqueeze { .. } => ch.stats.netmem_squeezes += 1,
                     ChaosAction::HostPause { .. } => ch.stats.host_pauses += 1,
                     ChaosAction::StealthCorrupt { .. } => ch.stats.stealth_corrupts += 1,
+                    ChaosAction::StealthMisplace { .. } => ch.stats.stealth_misplaces += 1,
                 }
             }
         }
@@ -442,6 +445,17 @@ impl World {
                 for (key, link) in self.links.iter_mut() {
                     if key.0 == host {
                         link.faults.force_stealth_corrupt_next();
+                        break;
+                    }
+                }
+            }
+            ChaosAction::StealthMisplace { host } => {
+                if heal {
+                    return;
+                }
+                for (key, link) in self.links.iter_mut() {
+                    if key.0 == host {
+                        link.faults.arm_stealth_misplace();
                         break;
                     }
                 }
@@ -597,7 +611,12 @@ impl World {
         let mut total = 0u64;
         for link in self.links.values() {
             let f = &link.faults.stats;
-            total += f.dropped + f.corrupted + f.reordered + f.duplicated + f.stealth_corrupted;
+            total += f.dropped
+                + f.corrupted
+                + f.reordered
+                + f.duplicated
+                + f.stealth_corrupted
+                + f.stealth_misplaced;
             total += link.down_drops;
         }
         total as i64
@@ -752,6 +771,7 @@ impl World {
             faults.reordered += f.reordered;
             faults.duplicated += f.duplicated;
             faults.stealth_corrupted += f.stealth_corrupted;
+            faults.stealth_misplaced += f.stealth_misplaced;
             down_drops += link.down_drops;
         }
         let mut w = reg.scope("world");
@@ -764,6 +784,10 @@ impl World {
         w.counter("faults.reordered", faults.reordered);
         w.counter("faults.duplicated", faults.duplicated);
         w.counter("faults.stealth_corrupted", faults.stealth_corrupted);
+        // Published only once planted, like the per-link counter.
+        if faults.stealth_misplaced > 0 {
+            w.counter("faults.stealth_misplaced", faults.stealth_misplaced);
+        }
         // Chaos counters publish only when a schedule is installed, so
         // chaos-free runs keep byte-identical registries (the same gate the
         // span stats use).
@@ -781,6 +805,9 @@ impl World {
             c.counter("netmem_squeezes", st.netmem_squeezes);
             c.counter("host_pauses", st.host_pauses);
             c.counter("stealth_corrupts", st.stealth_corrupts);
+            if st.stealth_misplaces > 0 {
+                c.counter("stealth_misplaces", st.stealth_misplaces);
+            }
             c.counter("deferred_events", st.deferred_events);
             c.counter("down_drops", down_drops);
         }

@@ -4,7 +4,8 @@
 //! Covers the acceptance criteria: (1) a seeded chaos run is byte-identical
 //! per seed; (2) a planted oracle violation — a checksum-preserving
 //! corruption the transport cannot see — is caught, shrunk to a handful of
-//! events, and replays the same failure from its serialized repro; plus the
+//! events, and replays the same failure from its serialized repro; (3) a
+//! planted checksum-preserving page swap fails the oracle; plus the
 //! degrade/recover flap soak and the partition-heal liveness scenarios.
 
 use outboard::host::MachineConfig;
@@ -116,6 +117,38 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     assert_eq!(
         replay.violations.first().map(|v| violation_category(v)),
         Some("integrity")
+    );
+}
+
+/// The page-misplacement canary: a frame whose two 8 KB payload pages trade
+/// places keeps its Internet checksum, so the transport accepts it and only
+/// a payload that differs page to page lets the oracle see the damage.
+#[test]
+fn planted_stealth_misplace_is_caught_by_the_oracle() {
+    const TOTAL: usize = 1024 * 1024;
+    let cfg = base_cfg(TOTAL, 1995);
+    let schedule = ChaosSchedule {
+        seed: 1995,
+        events: vec![ChaosEvent {
+            at: Dur::millis(8),
+            action: ChaosAction::StealthMisplace { host: 0 },
+        }],
+    };
+
+    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    assert_eq!(outcome.chaos.stealth_misplaces, 1);
+    assert_eq!(
+        outcome
+            .stats
+            .counter_value("world.faults.stealth_misplaced"),
+        1,
+        "the swap must have fired on a data frame"
+    );
+    assert_eq!(
+        outcome.category().as_deref(),
+        Some("integrity"),
+        "a swapped page must surface as a stream-integrity violation: {:?}",
+        outcome.violations
     );
 }
 
