@@ -11,13 +11,7 @@
 //!    with `--jobs 1` vs the configured worker count, verifying the
 //!    parallel results are **identical** to serial (exit 1 on mismatch —
 //!    CI's determinism gate);
-//! 4. `sched_churn` — pure schedule/expire churn through the event
-//!    engines: events/sec for the reference heap vs the timing wheel on a
-//!    timer-heavy pending set (the wheel must win by ≥ 2x);
-//! 5. `macro_sweep` — the fig5-shaped end-to-end sweep run serially on
-//!    each engine, reporting events/sec and wall µs (the wheel must be no
-//!    worse end to end);
-//! 6. `checksum_wide` / `checksum_scalar` — ones-complement checksum
+//! 4. `checksum_wide` / `checksum_scalar` — ones-complement checksum
 //!    MB/s through the 8-byte-lane path vs the 16-bit reference path,
 //!    via the vendored criterion stand-in's measurement loop. The
 //!    wide-over-scalar speedup is a regression gate: below 4x the binary
@@ -26,11 +20,12 @@
 //!
 //! `--smoke` shrinks every workload for CI; `--jobs N`/`OUTBOARD_JOBS`
 //! picks the parallel worker count (default: `min(4, cores)`, so the
-//! committed smoke numbers measure real parallelism).
+//! committed smoke numbers measure real parallelism). The JSON records the
+//! machine's `available_parallelism` next to `jobs`, so a parallel speedup
+//! below 1 can be read against the cores it actually had.
 
 use outboard_bench::sweep;
 use outboard_host::MachineConfig;
-use outboard_sim::{EngineKind, EventEngine, Time};
 use outboard_stack::StackConfig;
 use outboard_testbed::{run_ttcp, ExperimentConfig, Metrics};
 use outboard_wire::checksum::Accumulator;
@@ -121,33 +116,6 @@ fn git_rev() -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Pop/push churn through one engine: `pending` events in flight, each pop
-/// rescheduling a TCP-timer-like successor. Returns events (pops) per
-/// second of wall time.
-fn sched_churn(kind: EngineKind, pending: usize, churns: usize) -> f64 {
-    let mut eng: EventEngine<u64> = EventEngine::new(kind);
-    // Deterministic xorshift so both engines see the same schedule shape.
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    for i in 0..pending {
-        eng.push(Time(1 + next() % 5_000_000), i as u64);
-    }
-    let t0 = Instant::now();
-    for _ in 0..churns {
-        let (now, ev) = eng.pop().expect("pending set never drains");
-        // Reschedule like a retransmit timer: near future, ns granularity.
-        eng.push(now + outboard_sim::Dur(1 + next() % 5_000_000), ev);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    criterion::black_box(eng.len());
-    churns as f64 / secs.max(1e-9)
 }
 
 fn main() {
@@ -287,83 +255,7 @@ fn main() {
         ],
     });
 
-    // 4. Scheduler churn: pure push/pop through the two event engines on a
-    // timer-heavy pending set. The heap pays O(log n) per op at this depth;
-    // the wheel is amortized O(1) and must win by >= 2x.
-    let (pending, churns) = if smoke {
-        (50_000, 200_000)
-    } else {
-        (100_000, 1_000_000)
-    };
-    // Warm up the allocator so neither engine pays first-touch costs.
-    sched_churn(EngineKind::Heap, 1000, 1000);
-    sched_churn(EngineKind::Wheel, 1000, 1000);
-    let heap_eps = sched_churn(EngineKind::Heap, pending, churns);
-    let wheel_eps = sched_churn(EngineKind::Wheel, pending, churns);
-    workloads.push(Workload {
-        name: "sched_churn",
-        fields: vec![
-            ("pending", pending as f64),
-            ("churns", churns as f64),
-            ("heap_events_per_sec", heap_eps),
-            ("wheel_events_per_sec", wheel_eps),
-            ("wheel_speedup", wheel_eps / heap_eps.max(1e-9)),
-        ],
-    });
-
-    // 5. Macro sweep: the same fig5-shaped item set end to end, serially,
-    // on each engine. The wheel must be no worse in events/sec. Engines
-    // alternate *within* each item and each engine keeps its per-item
-    // minimum over the reps — whole-sweep-granularity timing on a shared
-    // box drifts by ±10% between samples, which swamps the real engine
-    // difference; per-item interleaved minima converge on both engines'
-    // true floor.
-    let reps = if smoke { 7 } else { 2 };
-    let mut heap_wall_us = 0.0f64;
-    let mut wheel_wall_us = 0.0f64;
-    let mut heap_events = 0u64;
-    let mut wheel_events = 0u64;
-    for &(size, sc) in &items {
-        let total = if smoke {
-            256 * 1024
-        } else {
-            outboard_bench::total_for(size)
-        };
-        let mut mins = [f64::INFINITY; 2];
-        let mut events = [0u64; 2];
-        for _ in 0..reps {
-            for (i, kind) in [EngineKind::Heap, EngineKind::Wheel]
-                .into_iter()
-                .enumerate()
-            {
-                let mut cfg = experiment(&machine, sc, size, total);
-                cfg.engine = kind;
-                let t0 = Instant::now();
-                let m = run_ttcp(&cfg);
-                mins[i] = mins[i].min(t0.elapsed().as_micros() as f64);
-                events[i] = m.events_dispatched;
-            }
-        }
-        heap_wall_us += mins[0];
-        wheel_wall_us += mins[1];
-        heap_events += events[0];
-        wheel_events += events[1];
-    }
-    let heap_eps_macro = heap_events as f64 / (heap_wall_us / 1e6).max(1e-9);
-    let wheel_eps_macro = wheel_events as f64 / (wheel_wall_us / 1e6).max(1e-9);
-    workloads.push(Workload {
-        name: "macro_sweep",
-        fields: vec![
-            ("runs", items.len() as f64),
-            ("heap_wall_us", heap_wall_us),
-            ("wheel_wall_us", wheel_wall_us),
-            ("heap_events_per_sec", heap_eps_macro),
-            ("wheel_events_per_sec", wheel_eps_macro),
-            ("wheel_speedup", wheel_eps_macro / heap_eps_macro.max(1e-9)),
-        ],
-    });
-
-    // 6. Checksum throughput: wide 8-byte lanes vs the scalar reference,
+    // 4. Checksum throughput: wide 8-byte lanes vs the scalar reference,
     // measured with the vendored criterion stand-in.
     let buf_len = if smoke { 256 * 1024 } else { 4 * 1024 * 1024 };
     let buf: Vec<u8> = (0..buf_len).map(|i| (i * 31 + 7) as u8).collect();
@@ -408,6 +300,8 @@ fn main() {
     let _ = writeln!(json, "  \"schema\": \"outboard-perf-v1\",");
     let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(json, "  \"jobs\": {jobs},");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"workloads\": [");
     for (i, w) in workloads.iter().enumerate() {

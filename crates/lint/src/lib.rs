@@ -673,7 +673,7 @@ const FIXTURES: &[Fixture] = &[
         "panic-hot-path",
         1,
         &[(
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/queue.rs",
             "pub fn my_entry() { helper() }\nfn helper() { None::<u32>.unwrap(); }\n"
         )],
         roots: &["my_entry"]
@@ -756,7 +756,7 @@ const FIXTURES: &[Fixture] = &[
         "nondet-order",
         1,
         &[(
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/queue.rs",
             "fn f() -> usize { std::collections::HashMap::<u32, u32>::new().len() }\n"
         )]
     ),
@@ -818,7 +818,7 @@ const FIXTURES: &[Fixture] = &[
         "wallclock",
         0,
         &[(
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/queue.rs",
             "pub fn from_env() -> bool { std::env::var(\"X\").is_ok() }\n"
         )]
     ),
@@ -827,7 +827,7 @@ const FIXTURES: &[Fixture] = &[
         "wallclock",
         1,
         &[(
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/queue.rs",
             "pub fn from_env() -> bool { std::env::var(\"X\").is_ok() }\n"
         )],
         legacy

@@ -17,8 +17,8 @@
 //! Determinism: the pool affects only *where* buffer storage comes from,
 //! never its contents (buffers are zeroed on acquire, exactly like the
 //! `vec![0; len]` call sites it replaces) and never simulation order. Stats
-//! are plain counters, identical across heap/wheel engines and across
-//! serial/parallel sweeps of the same run.
+//! are plain counters, identical across serial/parallel sweeps of the same
+//! run.
 
 use bytes::{Bytes, StorageHook};
 use std::sync::{Arc, Mutex};

@@ -13,7 +13,7 @@
 //!
 //! * Sampling is driven by virtual time only — the caller samples when the
 //!   event clock crosses a window boundary, so two runs with the same seed
-//!   (on either event engine) produce byte-identical timelines.
+//!   produce byte-identical timelines.
 //! * Conservation is exact: for every counter series,
 //!   `base + sum(window deltas) == final value`. Ring eviction folds the
 //!   evicted window's delta into `base`, so the identity survives bounded

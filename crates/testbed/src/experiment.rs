@@ -12,7 +12,7 @@ use crate::world::World;
 use bytes::Bytes;
 use outboard_cab::{Cab, CabEvent, SdmaDst, SdmaRx, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, TaskId};
-use outboard_sim::{stats, Dur, EngineKind, MetricsRegistry, Time};
+use outboard_sim::{stats, Dur, MetricsRegistry, Time};
 use outboard_stack::{SockAddr, StackConfig};
 use std::net::Ipv4Addr;
 
@@ -62,9 +62,6 @@ pub struct ExperimentConfig {
     /// this off measures the pure recording cost of enabled-but-unused
     /// tracing (the perf harness's `trace_overhead` gate).
     pub trace_export: bool,
-    /// Event-scheduler engine (wheel by default; `OUTBOARD_ENGINE=heap`
-    /// re-runs on the reference heap for byte-identity checks).
-    pub engine: EngineKind,
     /// Enable windowed time-series telemetry (off by default; sampled runs
     /// additionally publish `world.timeline.*` and can export timelines).
     pub timeline_enabled: bool,
@@ -102,7 +99,6 @@ impl ExperimentConfig {
             trace_capacity: 1 << 16,
             trace_flows: Some(64),
             trace_export: true,
-            engine: EngineKind::from_env(),
             timeline_enabled: false,
             timeline_window: Dur::millis(1),
             timeline_capacity: 1 << 16,
@@ -155,7 +151,7 @@ pub struct Metrics {
     pub sender_efficiency_mbps: f64,
     /// Receiver-side efficiency.
     pub receiver_efficiency_mbps: f64,
-    /// TCP retransmissions (from the sender's trace).
+    /// TCP retransmissions (the sender kernel's emission-site counter).
     pub retransmits: u64,
     /// Received bytes that failed pattern verification.
     pub verify_errors: u64,
@@ -167,7 +163,7 @@ pub struct Metrics {
     pub hw_checksums: u64,
     /// Packets checksummed in software.
     pub sw_checksums: u64,
-    /// Simulation events the engine dispatched during the run (the perf
+    /// Simulation events the scheduler dispatched during the run (the perf
     /// harness divides by wall time for an events/sec figure).
     pub events_dispatched: u64,
     /// Full metrics snapshot of the world at the end of the run (hosts,
@@ -201,7 +197,7 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     if let Err(e) = cfg.validate() {
         panic!("invalid ExperimentConfig: {e}");
     }
-    let mut w = World::new_with_engine(cfg.engine);
+    let mut w = World::new();
     let a = w.add_host("sender", cfg.machine.clone(), cfg.stack.clone());
     let b = w.add_host("receiver", cfg.machine.clone(), cfg.stack.clone());
     let (if_a, if_b) = w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), cfg.seed);
@@ -295,20 +291,10 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
     let sender_util = w.hosts[0].cpu.acct.utilization(elapsed, bg);
     let receiver_util = w.hosts[1].cpu.acct.utilization(elapsed, bg);
     let throughput = stats::mbps(bytes_read as u64, elapsed);
-    let retransmits = sum_retransmits(&w, 0);
+    let retransmits = w.hosts[0].kernel.stats.tcp_retransmit_segs;
     let header_only = w.hosts[0].kernel.stats.retransmit_header_only;
     let hw_checksums = w.hosts[0].kernel.stats.hw_checksums;
     let sw_checksums = w.hosts[0].kernel.stats.sw_checksums;
-    // Eviction is surfaced in the registry (`world.trace.evicted`, always
-    // published) so it is visible from --stats artifacts, not just stderr.
-    if w.hosts[0].kernel.trace.dropped() > 0 {
-        eprintln!(
-            "warning: sender trace ring evicted {} events (see \
-             world.trace.evicted in --stats); counters in Metrics come \
-             from the registry and are unaffected",
-            w.hosts[0].kernel.trace.dropped()
-        );
-    }
     // Close out in-flight spans before snapshotting so the conservation
     // identity (opened == closed + dropped) holds in the registry.
     let traced = w.span_tracing_on();
@@ -364,12 +350,6 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
         timeline_csv,
         timeline_summary,
     }
-}
-
-fn sum_retransmits(w: &World, host: usize) -> u64 {
-    // Emission-site counter in the kernel, not the bounded trace ring: the
-    // ring evicts old events on long runs and undercounts.
-    w.hosts[host].kernel.stats.tcp_retransmit_segs
 }
 
 /// The "raw HIPPI" bound (Figure 5a): well-formed packets of `packet_size`

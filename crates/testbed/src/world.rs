@@ -13,7 +13,7 @@ use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
 use outboard_sim::timeline::{SeriesKind, Timeline};
-use outboard_sim::{BufPool, Dur, EngineKind, EventEngine, MetricsRegistry, Time};
+use outboard_sim::{BufPool, Dur, EventQueue, MetricsRegistry, Time};
 use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, TimerKind};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -199,7 +199,7 @@ struct ChaosState {
 pub struct World {
     /// All simulated hosts.
     pub hosts: Vec<Host>,
-    queue: EventEngine<Event>,
+    queue: EventQueue<Event>,
     /// Shared frame/cluster buffer pool (every host kernel, CAB, and link
     /// recycles storage through it; see `sim::pool`).
     pub pool: Arc<BufPool>,
@@ -220,7 +220,7 @@ pub struct World {
     pub bytes_on_fabric: u64,
     /// Optional tcpdump-style capture of every frame entering a link.
     pub capture: Option<Capture>,
-    /// Events dispatched by the engine (wall-clock work proxy for the
+    /// Events dispatched by the scheduler (wall-clock work proxy for the
     /// perf harness's events/sec figure).
     pub events_dispatched: u64,
     /// Wire-transit spans (one sink for the whole fabric; disabled by
@@ -234,19 +234,11 @@ pub struct World {
 }
 
 impl World {
-    /// An empty world (add hosts, wire links, add apps, run) on the default
-    /// (timing-wheel) event engine.
+    /// An empty world (add hosts, wire links, add apps, run).
     pub fn new() -> World {
-        World::new_with_engine(EngineKind::default())
-    }
-
-    /// An empty world scheduling through the given event engine. The heap
-    /// engine is kept as a reference for differential testing; both produce
-    /// byte-identical runs.
-    pub fn new_with_engine(kind: EngineKind) -> World {
         World {
             hosts: Vec::new(),
-            queue: EventEngine::new(kind),
+            queue: EventQueue::new(),
             pool: Arc::new(BufPool::new()),
             links: BTreeMap::new(),
             hippi_map: BTreeMap::new(),
@@ -640,7 +632,7 @@ impl World {
     /// Record every window boundary at or before `now`. Called from the
     /// dispatch loop when the clock crosses `next_boundary`; because events
     /// dispatch in nondecreasing time order, the sample at boundary `b`
-    /// covers exactly the events with time `< b` on either engine.
+    /// covers exactly the events with time `< b`.
     fn timeline_catch_up(&mut self, now: Time) {
         let Some(mut st) = self.timeline.take() else {
             return;
@@ -811,11 +803,6 @@ impl World {
             c.counter("deferred_events", st.deferred_events);
             c.counter("down_drops", down_drops);
         }
-        // Mechanism-trace eviction is always surfaced (satellite of the
-        // bounded-ring fix): undercounting must be visible from artifacts,
-        // not just stderr.
-        let trace_evicted: u64 = self.hosts.iter().map(|h| h.kernel.trace.dropped()).sum();
-        w.counter("trace.evicted", trace_evicted);
         // Pool counters publish only once the pool has been used, so worlds
         // that never touch it (unit fixtures) keep byte-identical registries
         // — the same gate the chaos and span stats use.
@@ -891,11 +878,6 @@ impl World {
             }
         }
         reg
-    }
-
-    /// The event engine this world schedules through.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.queue.kind()
     }
 
     /// Add a host with the given machine and stack configuration.

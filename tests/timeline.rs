@@ -1,20 +1,20 @@
-//! Windowed-telemetry integration tests: timeline determinism (same seed,
-//! heap vs wheel engine), exact conservation against the final registry
-//! counters under the fault matrix, counter-track merging into the span
-//! trace, flight-recorder dumps on chaos failures, and silence (no
-//! `world.timeline.*` keys, byte-identical outputs) when disabled.
+//! Windowed-telemetry integration tests: same-seed timeline determinism,
+//! exact conservation against the final registry counters under the fault
+//! matrix, counter-track merging into the span trace, flight-recorder dumps
+//! on chaos failures, and silence (no `world.timeline.*` keys,
+//! byte-identical outputs) when disabled.
 
 use outboard::host::MachineConfig;
 use outboard::sim::chaos::json;
 use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
-use outboard::sim::{Dur, EngineKind};
+use outboard::sim::Dur;
 use outboard::stack::StackConfig;
 use outboard::testbed::chaos::{run_chaos, DEFAULT_LIVENESS_BUDGET};
 use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
 
 const TOTAL: usize = 1024 * 1024;
 
-fn sampled(seed: u64, faults: bool, trace: bool, engine: Option<EngineKind>) -> Metrics {
+fn sampled(seed: u64, faults: bool, trace: bool) -> Metrics {
     let mut stack = StackConfig::single_copy();
     stack.force_single_copy = true;
     let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 64 * 1024);
@@ -22,9 +22,6 @@ fn sampled(seed: u64, faults: bool, trace: bool, engine: Option<EngineKind>) -> 
     cfg.seed = seed;
     cfg.timeline_enabled = true;
     cfg.trace_spans = trace;
-    if let Some(kind) = engine {
-        cfg.engine = kind;
-    }
     if faults {
         cfg.drop_p = 0.01;
         cfg.cab_alloc_fail_p = 0.02;
@@ -75,8 +72,8 @@ fn series_facts(tl_json: &str) -> Vec<(String, String, i64, i64, i64)> {
 
 #[test]
 fn same_seed_timelines_are_byte_identical() {
-    let a = sampled(7, true, false, None);
-    let b = sampled(7, true, false, None);
+    let a = sampled(7, true, false);
+    let b = sampled(7, true, false);
     let (ta, tb) = (a.timeline_json.unwrap(), b.timeline_json.unwrap());
     assert!(ta.contains("outboard-timeline-v1"));
     assert_eq!(ta, tb, "same seed must produce byte-identical timelines");
@@ -85,20 +82,8 @@ fn same_seed_timelines_are_byte_identical() {
 }
 
 #[test]
-fn heap_and_wheel_engines_agree_on_timelines() {
-    let wheel = sampled(13, true, false, Some(EngineKind::Wheel));
-    let heap = sampled(13, true, false, Some(EngineKind::Heap));
-    assert_eq!(
-        wheel.timeline_json.unwrap(),
-        heap.timeline_json.unwrap(),
-        "engines must sample identical timelines"
-    );
-    assert_eq!(wheel.stats.to_json(), heap.stats.to_json());
-}
-
-#[test]
 fn window_delta_sums_equal_final_registry_counters_under_faults() {
-    let m = sampled(17, true, false, None);
+    let m = sampled(17, true, false);
     let facts = series_facts(m.timeline_json.as_ref().unwrap());
     assert!(facts.len() >= 10, "expected 10 series, got {}", facts.len());
     for (name, kind, base, final_v, sum) in &facts {
@@ -148,7 +133,7 @@ fn window_delta_sums_equal_final_registry_counters_under_faults() {
 
 #[test]
 fn counter_tracks_merge_into_the_span_trace() {
-    let m = sampled(7, false, true, None);
+    let m = sampled(7, false, true);
     let trace = m.trace_json.as_ref().expect("traced run exports JSON");
     let c_events = trace.matches("\"ph\":\"C\"").count();
     assert!(
@@ -200,13 +185,17 @@ fn disabled_timeline_is_silent_and_byte_identical() {
     // Enabling the sampler must not perturb the simulation itself: the
     // event stream, counters, and span trace stay byte-identical; only
     // the gated world.timeline.* keys are added.
-    let on = sampled(7, false, true, None);
+    let on = sampled(7, false, true);
     assert_eq!(off.events_dispatched, on.events_dispatched);
     assert_eq!(off.retransmits, on.retransmits);
     assert_eq!(off.elapsed, on.elapsed);
+    // The world.timeline.* keys sort last, so dropping them moves the
+    // JSON's final-entry position; compare entries without their
+    // separating commas.
     let strip = |s: &str| {
         s.lines()
             .filter(|l| !l.contains("world.timeline."))
+            .map(|l| l.trim_end_matches(','))
             .collect::<Vec<_>>()
             .join("\n")
     };
@@ -219,7 +208,7 @@ fn disabled_timeline_is_silent_and_byte_identical() {
 
 #[test]
 fn sparklines_summarize_every_series() {
-    let m = sampled(7, false, false, None);
+    let m = sampled(7, false, false);
     let s = m.timeline_summary.unwrap();
     assert!(s.starts_with("timeline:"));
     // Header plus one row per series.
