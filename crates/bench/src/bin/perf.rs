@@ -13,7 +13,7 @@
 //!    CI's determinism gate);
 //! 4. `checksum_wide` / `checksum_scalar` — ones-complement checksum
 //!    MB/s through the 8-byte-lane path vs the 16-bit reference path,
-//!    via the vendored criterion stand-in's measurement loop. The
+//!    via the shared `outboard_bench::timing` loop. The
 //!    wide-over-scalar speedup is a regression gate: below 4x the binary
 //!    exits 1 so scheduler work can't silently regress the checksum
 //!    pillar.
@@ -24,12 +24,13 @@
 //! machine's `available_parallelism` next to `jobs`, so a parallel speedup
 //! below 1 can be read against the cores it actually had.
 
-use outboard_bench::sweep;
+use outboard_bench::{sweep, timing};
 use outboard_host::MachineConfig;
 use outboard_stack::StackConfig;
 use outboard_testbed::{run_ttcp, ExperimentConfig, Metrics};
 use outboard_wire::checksum::Accumulator;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured workload: a name plus (field, value) pairs for the JSON.
@@ -140,7 +141,7 @@ fn main() {
         (0..3)
             .map(|_| {
                 let t0 = Instant::now();
-                criterion::black_box(run_ttcp(cfg));
+                black_box(run_ttcp(cfg));
                 t0.elapsed().as_micros() as f64
             })
             .fold(f64::INFINITY, f64::min)
@@ -256,19 +257,19 @@ fn main() {
     });
 
     // 4. Checksum throughput: wide 8-byte lanes vs the scalar reference,
-    // measured with the vendored criterion stand-in.
+    // measured with the shared timing loop.
     let buf_len = if smoke { 256 * 1024 } else { 4 * 1024 * 1024 };
     let buf: Vec<u8> = (0..buf_len).map(|i| (i * 31 + 7) as u8).collect();
     let iters = if smoke { 20 } else { 50 };
-    let wide = criterion::measure_ns(iters, || {
+    let wide = timing::measure_ns(iters, || {
         let mut acc = Accumulator::new();
-        acc.add_bytes(criterion::black_box(&buf));
-        criterion::black_box(acc.partial());
+        acc.add_bytes(black_box(&buf));
+        black_box(acc.partial());
     });
-    let scalar = criterion::measure_ns(iters, || {
+    let scalar = timing::measure_ns(iters, || {
         let mut acc = Accumulator::new();
-        acc.add_bytes_scalar(criterion::black_box(&buf));
-        criterion::black_box(acc.partial());
+        acc.add_bytes_scalar(black_box(&buf));
+        black_box(acc.partial());
     });
     let wide_mbps = wide.mb_per_sec(buf_len as u64);
     let scalar_mbps = scalar.mb_per_sec(buf_len as u64);

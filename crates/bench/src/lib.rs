@@ -12,7 +12,8 @@
 //! | `hol` | §2.1: FIFO head-of-line blocking vs logical channels |
 //! | `crossover` | §4.4.3/§4.5 ablations: path choice and alignment fallback |
 //!
-//! Criterion micro-benches live in `benches/`.
+//! Micro-benches live in `benches/`; they and the `perf` binary share the
+//! [`timing`] loop.
 
 use outboard_host::MachineConfig;
 use outboard_sim::Dur;
@@ -20,6 +21,7 @@ use outboard_stack::StackConfig;
 use outboard_testbed::{run_ttcp, ExperimentConfig, Metrics};
 
 pub mod sweep;
+pub mod timing;
 
 /// The read/write sizes of Figures 5 and 6 (1 KB .. 512 KB).
 pub fn figure_sizes() -> Vec<usize> {
@@ -440,9 +442,10 @@ pub fn emit_trace(machine: &MachineConfig) {
 ///
 /// Runs a single-copy 64 KB-write transfer on `machine`, prints the
 /// deterministic [`MetricsRegistry::report`] (SDMA/MDMA busy fractions,
-/// page-pool high-water marks, CPU shares, netstat-style TCP counters, link
-/// and fabric totals), and writes machine-readable `stats_<tag>.json` and
-/// `stats_<tag>.csv` snapshots next to the figure's results files.
+/// network-memory page high-water marks, CPU shares, netstat-style TCP
+/// counters, link and fabric totals), and writes machine-readable
+/// `stats_<tag>.json` and `stats_<tag>.csv` snapshots next to the
+/// figure's results files.
 ///
 /// [`MetricsRegistry::report`]: outboard_sim::MetricsRegistry::report
 pub fn emit_stats(tag: &str, machine: &MachineConfig) {

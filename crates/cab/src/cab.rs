@@ -26,11 +26,10 @@ use crate::ownership::{DmaEngine, DmaOwnershipViolation};
 use bytes::Bytes;
 use outboard_host::{MemFault, TaskId, UserMemory};
 use outboard_sim::obs::Scope;
-use outboard_sim::{BufPool, Dur, Time};
+use outboard_sim::{Dur, Time};
 use outboard_wire::checksum::{fold, Accumulator};
 use outboard_wire::hippi::HippiAddr;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One scatter/gather element of a transmit SDMA request.
 #[derive(Clone, Debug)]
@@ -280,8 +279,6 @@ pub struct Cab {
     pub per_channel_tx: BTreeMap<u16, u64>,
     /// Adaptor-side fault injection (transparent by default).
     pub faults: FaultInjector,
-    /// Shared buffer pool for staging copies and outbound frames.
-    pool: Option<Arc<BufPool>>,
 }
 
 impl Cab {
@@ -298,15 +295,7 @@ impl Cab {
             stats: CabStats::default(),
             per_channel_tx: BTreeMap::new(),
             faults: FaultInjector::none(u64::from(addr)),
-            pool: None,
         }
-    }
-
-    /// Recycle packet-buffer, staging, and frame storage through a shared
-    /// [`BufPool`] so steady-state transfers stop allocating per frame.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.netmem.set_pool(Arc::clone(&pool));
-        self.pool = Some(pool);
     }
 
     /// The device configuration.
@@ -495,14 +484,8 @@ impl Cab {
             None => {}
         }
 
-        // Gather the bytes into a (recycled) staging buffer.
-        let (mut staged, staged_ticket) = match &self.pool {
-            Some(p) => {
-                let (b, t) = p.acquire(total);
-                (b, Some(t))
-            }
-            None => (vec![0u8; total], None),
-        };
+        // Gather the bytes into a staging buffer.
+        let mut staged = vec![0u8; total];
         let mut off = 0usize;
         for e in &req.sg {
             match e {
@@ -511,12 +494,8 @@ impl Cab {
                     off += b.len();
                 }
                 SgEntry::User { task, vaddr, len } => {
-                    if let Err(f) = mem.read_user(*task, *vaddr, &mut staged[off..off + len]) {
-                        if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-                            p.release(staged, t);
-                        }
-                        return Err(CabError::MemFault(f));
-                    }
+                    mem.read_user(*task, *vaddr, &mut staged[off..off + len])
+                        .map_err(CabError::MemFault)?;
                     off += len;
                 }
             }
@@ -541,15 +520,9 @@ impl Cab {
 
         // Commit to network memory and run the checksum engine.
         let Some(pkt) = self.netmem.get_mut(req.packet) else {
-            if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-                p.release(staged, t);
-            }
             return Err(CabError::UnknownPacket(req.packet));
         };
         pkt.data[..total].copy_from_slice(&staged);
-        if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-            p.release(staged, t);
-        }
         if !req.reuse_body_csum {
             pkt.valid = total;
         }
@@ -637,14 +610,7 @@ impl Cab {
         let Some(pkt) = self.netmem.get(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
-        let (mut buf, buf_ticket) = match &self.pool {
-            Some(p) => {
-                let (b, t) = p.acquire(req.len);
-                (b, Some(t))
-            }
-            None => (vec![0u8; req.len], None),
-        };
-        buf.copy_from_slice(&pkt.data[req.src_off..req.src_off + req.len]);
+        let buf = pkt.data[req.src_off..req.src_off + req.len].to_vec();
 
         let misaligned = match req.dst {
             SdmaDst::User { vaddr, .. } => {
@@ -663,17 +629,11 @@ impl Cab {
 
         let data = match req.dst {
             SdmaDst::User { task, vaddr } => {
-                let wrote = mem.write_user(task, vaddr, &buf);
-                if let (Some(p), Some(t)) = (&self.pool, buf_ticket) {
-                    p.release(buf, t);
-                }
-                wrote.map_err(CabError::MemFault)?;
+                mem.write_user(task, vaddr, &buf)
+                    .map_err(CabError::MemFault)?;
                 None
             }
-            SdmaDst::Kernel => Some(match (&self.pool, buf_ticket) {
-                (Some(p), Some(t)) => p.freeze(buf, t),
-                _ => Bytes::from(buf),
-            }),
+            SdmaDst::Kernel => Some(Bytes::from(buf)),
         };
         if req.free_packet {
             self.netmem.free(req.packet);
@@ -707,12 +667,7 @@ impl Cab {
                 if pkt.valid == 0 {
                     return Err(CabError::BadRequest("mdma of empty packet"));
                 }
-                match &self.pool {
-                    // Pooled frame: if a fault path below abandons it, the
-                    // drop hook still returns the storage.
-                    Some(p) => p.copy_from_slice(&pkt.data[..pkt.valid]),
-                    None => Bytes::copy_from_slice(&pkt.data[..pkt.valid]),
-                }
+                Bytes::copy_from_slice(&pkt.data[..pkt.valid])
             }
             None => return Err(self.missing_packet(packet, DmaEngine::MdmaTx, now)),
         };

@@ -11,9 +11,7 @@
 use crate::ownership::{DmaEngine, DmaOwnershipViolation, OwnershipJournal};
 #[cfg(feature = "dma-check")]
 use outboard_sim::Time;
-use outboard_sim::{BufPool, Ticket};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Identifies a packet buffer in one CAB's network memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,8 +32,6 @@ pub struct PacketBuf {
     /// saved from when the packet was transferred the first time").
     pub saved_body_csum: Option<u16>,
     pages: usize,
-    /// Proof of acquisition when `data` came from a shared buffer pool.
-    ticket: Option<Ticket>,
 }
 
 /// The network-memory page pool.
@@ -54,9 +50,6 @@ pub struct NetworkMemory {
     // downstream of it) vary run to run.
     packets: BTreeMap<PacketId, PacketBuf>,
     next_id: u64,
-    /// Optional shared buffer pool behind `PacketBuf::data`; without one,
-    /// every allocation is a fresh `Vec` (standalone unit tests).
-    pool: Option<Arc<BufPool>>,
     /// DMA ownership journal (§4.4.2's counter handshake as a checked
     /// invariant). Only consulted when the `dma-check` feature is on.
     #[cfg(feature = "dma-check")]
@@ -78,16 +71,9 @@ impl NetworkMemory {
             reserved_pages: 0,
             packets: BTreeMap::new(),
             next_id: 1,
-            pool: None,
             #[cfg(feature = "dma-check")]
             journal: OwnershipJournal::default(),
         }
-    }
-
-    /// Back packet-buffer storage with a shared [`BufPool`] so steady-state
-    /// transfers recycle the same slabs instead of allocating per packet.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.pool = Some(pool);
     }
 
     /// Pages currently free.
@@ -141,21 +127,13 @@ impl NetworkMemory {
     /// state). Returns the number of buffers released.
     pub fn free_all(&mut self) -> usize {
         let n = self.packets.len();
-        for (_, p) in std::mem::take(&mut self.packets) {
+        for p in std::mem::take(&mut self.packets).into_values() {
             self.pages_free += p.pages;
             self.frees += 1;
-            self.recycle(p);
         }
         #[cfg(feature = "dma-check")]
         self.journal.release_all();
         n
-    }
-
-    /// Hand a retired buffer's storage back to the pool it came from.
-    fn recycle(&self, p: PacketBuf) {
-        if let (Some(pool), Some(t)) = (&self.pool, p.ticket) {
-            pool.release(p.data, t);
-        }
     }
 
     /// Allocate a page-aligned packet buffer of `len` bytes. Returns `None`
@@ -174,22 +152,14 @@ impl NetworkMemory {
         self.allocs += 1;
         let id = PacketId(self.next_id);
         self.next_id += 1;
-        let (data, ticket) = match &self.pool {
-            Some(pool) => {
-                let (buf, t) = pool.acquire(len);
-                (buf, Some(t))
-            }
-            None => (vec![0; len], None),
-        };
         self.packets.insert(
             id,
             PacketBuf {
                 cap: len,
-                data,
+                data: vec![0; len],
                 valid: 0,
                 saved_body_csum: None,
                 pages,
-                ticket,
             },
         );
         Some(id)
@@ -201,7 +171,6 @@ impl NetworkMemory {
         if let Some(p) = self.packets.remove(&id) {
             self.pages_free += p.pages;
             self.frees += 1;
-            self.recycle(p);
             #[cfg(feature = "dma-check")]
             self.journal.release(id);
             true
@@ -284,17 +253,6 @@ impl NetworkMemory {
                 true
             }
             _ => false,
-        }
-    }
-}
-
-impl Drop for NetworkMemory {
-    /// Return still-live packet storage to the pool at teardown so the
-    /// world-level conservation check (`acquires == releases`) holds even
-    /// when a run ends with frames in flight.
-    fn drop(&mut self) {
-        for (_, p) in std::mem::take(&mut self.packets) {
-            self.recycle(p);
         }
     }
 }

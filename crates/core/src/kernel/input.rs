@@ -304,7 +304,7 @@ impl Kernel {
                             // programmed I/O so the packet still arrives.
                             Kernel::watchdog_on_wedge(k, cab, iface, &e);
                             cab.complete(token);
-                            let (mut buf, ticket) = k.cluster_alloc(out_len);
+                            let mut buf = vec![0u8; out_len];
                             let _ = cab.cab.read_packet(packet, src_off, &mut buf);
                             let cost = k.memsys.read_cost(out_len, out_len.max(4096));
                             k.cpu_dur(cost, Charge::Interrupt);
@@ -314,7 +314,7 @@ impl Kernel {
                                 cab.cab.free_packet(packet, now);
                             }
                             cab.health.stats.pio_fallbacks += 1;
-                            k.cluster_freeze(buf, ticket)
+                            Bytes::from(buf)
                         }
                     }
                 });
@@ -1093,10 +1093,7 @@ impl Kernel {
                 // integrity checks reject the content, not the kernel.
                 let bytes = match data {
                     Some(b) if b.len() == len => b,
-                    _ => {
-                        let (buf, ticket) = self.cluster_alloc(len);
-                        self.cluster_freeze(buf, ticket)
-                    }
+                    _ => Bytes::from(vec![0u8; len]),
                 };
                 let ready = {
                     let Some(s) = self.sockets.get_mut(&sock) else {

@@ -37,13 +37,12 @@ use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMemory, VmSystem};
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
-use outboard_sim::{BufPool, Dur, Ticket, Time};
+use outboard_sim::{Dur, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Kernel-level statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -179,9 +178,6 @@ pub struct Kernel {
     /// Reusable scratch buffer for header assembly and descriptor reads on
     /// the transmit/checksum hot paths (grown once, then recycled).
     pub(crate) scratch: Vec<u8>,
-    /// Shared buffer pool for mbuf cluster storage (kernel copies of user
-    /// data, PIO fallbacks, rescue reads); `None` keeps plain allocation.
-    pub(crate) pool: Option<Arc<BufPool>>,
 }
 
 impl Kernel {
@@ -212,34 +208,6 @@ impl Kernel {
             mbuf_stats: MbufStats::default(),
             spans: SpanSink::disabled(),
             scratch: Vec::new(),
-            pool: None,
-        }
-    }
-
-    /// Recycle mbuf cluster storage through a shared [`BufPool`] so the
-    /// copy paths stop allocating per segment.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Zero-filled cluster storage (pooled when a pool is installed) plus
-    /// the ticket [`Kernel::cluster_freeze`] needs to recycle it.
-    pub(crate) fn cluster_alloc(&self, len: usize) -> (Vec<u8>, Option<Ticket>) {
-        match &self.pool {
-            Some(p) => {
-                let (buf, t) = p.acquire(len);
-                (buf, Some(t))
-            }
-            None => (vec![0u8; len], None),
-        }
-    }
-
-    /// Freeze cluster storage into [`Bytes`]; pooled storage returns to the
-    /// pool when the last view drops.
-    pub(crate) fn cluster_freeze(&self, buf: Vec<u8>, ticket: Option<Ticket>) -> Bytes {
-        match (&self.pool, ticket) {
-            (Some(p), Some(t)) => p.freeze(buf, t),
-            _ => Bytes::from(buf),
         }
     }
 
@@ -796,11 +764,11 @@ impl Kernel {
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let cost = self.memsys.copy_cost(fix, fix.max(64));
                 self.cpu_dur(cost, charge);
-                let (mut buf, ticket) = self.cluster_alloc(fix);
+                let mut buf = vec![0u8; fix];
                 mem.read_user(bw.region.task, cur_addr, &mut buf)
                     // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                     .expect("user write buffer readable");
-                let m = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let m = Mbuf::kernel(Bytes::from(buf));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
                 // The copy satisfies copy semantics for these bytes now.
@@ -845,7 +813,7 @@ impl Kernel {
                 // Traditional path: copy through kernel buffers.
                 let cost = self.memsys.copy_cost(chunk, bw.total.max(chunk));
                 self.cpu_dur(cost, charge);
-                let (mut buf, ticket) = self.cluster_alloc(chunk);
+                let mut buf = vec![0u8; chunk];
                 mem.read_user(
                     bw.region.task,
                     bw.region.base + bw.appended as u64,
@@ -853,7 +821,7 @@ impl Kernel {
                 )
                 // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                 .expect("user write buffer readable");
-                let m = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let m = Mbuf::kernel(Bytes::from(buf));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
             }
@@ -1241,10 +1209,10 @@ impl Kernel {
         } else {
             let cost = self.memsys.copy_cost(len, len.max(4096));
             self.cpu_dur(cost, Charge::Syscall);
-            let (mut buf, ticket) = self.cluster_alloc(len);
+            let mut buf = vec![0u8; len];
             // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
             mem.read_user(task, vaddr, &mut buf).expect("readable");
-            chain.append(Mbuf::kernel(self.cluster_freeze(buf, ticket)));
+            chain.append(Mbuf::kernel(Bytes::from(buf)));
             None
         };
         self.cpu(self.machine.cost_socket_pkt_us, Charge::Syscall);

@@ -314,16 +314,14 @@ impl Kernel {
         for m in data.iter() {
             match m.data() {
                 MbufData::Uio(d) => {
-                    let (mut buf, ticket) = self.cluster_alloc(d.len);
+                    let mut buf = vec![0u8; d.len];
                     if mem.read_user(d.region.task, d.vaddr(), &mut buf).is_err() {
                         self.stats.user_mem_faults += 1;
                     }
                     if let Some(c) = d.counter {
                         credited.push((c, d.len));
                     }
-                    out.append(outboard_mbuf::Mbuf::kernel(
-                        self.cluster_freeze(buf, ticket),
-                    ));
+                    out.append(outboard_mbuf::Mbuf::kernel(Bytes::from(buf)));
                 }
                 _ => out.append(m.clone()),
             }
@@ -724,7 +722,7 @@ impl Kernel {
                             // unaligned accesses").
                             use outboard_host::UserMemory;
                             k.stats.aligned_fallbacks += 1;
-                            let (mut buf, ticket) = k.cluster_alloc(d.len);
+                            let mut buf = vec![0u8; d.len];
                             if mem.read_user(d.region.task, d.vaddr(), &mut buf).is_err() {
                                 k.stats.user_mem_faults += 1;
                             }
@@ -735,7 +733,7 @@ impl Kernel {
                             // handler will find no UIO descriptor to
                             // convert, so credit here).
                             uio_bytes += d.len;
-                            sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
+                            sg.push(SgEntry::Inline(Bytes::from(buf)));
                         } else {
                             uio_bytes += d.len;
                             match &mut pinned {
@@ -754,11 +752,11 @@ impl Kernel {
                         // bytes through the driver (rare; a CPU read). Zeros
                         // on a lost buffer; the peer's checksum rejects.
                         first_kernel = false;
-                        let (mut buf, ticket) = k.cluster_alloc(d.len);
+                        let mut buf = vec![0u8; d.len];
                         let _ = cab.cab.read_packet(PacketId(d.packet), d.off, &mut buf);
                         let cost = k.memsys.read_cost(d.len, d.len.max(4096));
                         k.cpu_dur(cost, Charge::Syscall);
-                        sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
+                        sg.push(SgEntry::Inline(Bytes::from(buf)));
                     }
                 }
             }

@@ -13,6 +13,7 @@
 use super::Kernel;
 use crate::driver::{CabIface, PendingTx, SdmaPurpose};
 use crate::types::{Effect, IfaceId, SockId, TimerKind};
+use bytes::Bytes;
 use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx, SdmaTx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData};
@@ -525,7 +526,7 @@ impl Kernel {
                 let Some((off, d)) = found else {
                     break;
                 };
-                let (mut buf, ticket) = self.cluster_alloc(d.len);
+                let mut buf = vec![0u8; d.len];
                 self.with_cab(iface_id, |k, cab| {
                     // A buffer already gone reads as zeros; the peer's
                     // checksum rejects any segment built from it.
@@ -534,7 +535,7 @@ impl Kernel {
                     let cost = k.memsys.read_cost(d.len, d.len.max(4096));
                     k.cpu_dur(cost, Charge::Interrupt);
                 });
-                let rescued_mbuf = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let rescued_mbuf = Mbuf::kernel(Bytes::from(buf));
                 let Some(s) = self.sockets.get_mut(&sock) else {
                     break;
                 };
@@ -567,7 +568,7 @@ impl Kernel {
             Ok(ev) => k.fx.push(Effect::Cab { iface, event: ev }),
             Err(e) => {
                 Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                let (mut buf, ticket) = k.cluster_alloc(req.len);
+                let mut buf = vec![0u8; req.len];
                 let _ = cab.cab.read_packet(req.packet, req.src_off, &mut buf);
                 let cost = k.memsys.read_cost(req.len, req.len.max(4096));
                 k.cpu_dur(cost, Charge::Interrupt);
@@ -576,12 +577,9 @@ impl Kernel {
                         if mem.write_user(task, vaddr, &buf).is_err() {
                             k.stats.user_mem_faults += 1;
                         }
-                        if let (Some(p), Some(t)) = (&k.pool, ticket) {
-                            p.release(buf, t);
-                        }
                         None
                     }
-                    SdmaDst::Kernel => Some(k.cluster_freeze(buf, ticket)),
+                    SdmaDst::Kernel => Some(Bytes::from(buf)),
                 };
                 // A wedged engine holds the buffer until board reset; PIO
                 // may still read the bytes, but the host must not free.

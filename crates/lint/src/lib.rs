@@ -22,8 +22,8 @@
 //! * `span-balance` — a `span_open` in a hot-path module must have a
 //!   matching `span_close`/`span_drop` in the same function;
 //! * `payload-alloc` — no `vec![…]`/`Vec::with_capacity`/`.to_vec()` in
-//!   reachable fns of the netsim/mbuf frame crates: payload storage
-//!   comes from `sim::pool`;
+//!   reachable fns of the netsim/mbuf frame crates: frames pass through
+//!   them as shared `Bytes` views, not per-frame copies;
 //! * `bad-pragma` — malformed or unknown-rule suppressions;
 //! * `stale-pragma` — a suppression that suppresses nothing.
 //!
@@ -902,7 +902,7 @@ const FIXTURES: &[Fixture] = &[
         0,
         &[(
             "crates/testbed/src/world.rs",
-            "fn f(w: &mut Scope, i: usize) { w.counter(&format!(\"host{i}.engine_busy_ns\"), 1); w.counter(\"world.pool_in_use\", 1); w.counter(\"world.faults\", 1); }\n"
+            "fn f(w: &mut Scope, i: usize) { w.counter(&format!(\"host{i}.engine_busy_ns\"), 1); w.counter(&format!(\"host{i}.netmem_pages\"), 1); w.counter(\"world.faults\", 1); }\n"
         )]
     ),
     fx!(
@@ -990,12 +990,12 @@ const FIXTURES: &[Fixture] = &[
         )]
     ),
     fx!(
-        "pooled acquire does not fire",
+        "shared Bytes slice does not fire",
         "payload-alloc",
         0,
         &[(
             "crates/netsim/src/link.rs",
-            "impl Link {\n    pub fn transmit(&mut self, p: &BufPool) -> (Vec<u8>, Ticket) { p.acquire(1500) }\n}\n"
+            "impl Link {\n    pub fn transmit(&mut self, frame: &Bytes) -> Bytes { frame.slice(14..) }\n}\n"
         )]
     ),
     fx!(
@@ -1009,11 +1009,11 @@ const FIXTURES: &[Fixture] = &[
         roots: &["flatten"]
     ),
     fx!(
-        "vec! in pool module ignored",
+        "vec! outside the payload crates ignored",
         "payload-alloc",
         0,
         &[(
-            "crates/sim/src/pool.rs",
+            "crates/sim/src/queue.rs",
             "pub fn backing() -> Vec<u8> { vec![0u8; 4096] }\n"
         )],
         roots: &["backing"]

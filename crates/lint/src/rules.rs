@@ -60,10 +60,11 @@ const SIM_FACING: &[&str] = &[
 /// helpers into the reachable set through method-name collisions.
 const WALLCLOCK_EXEMPT: &[&str] = &["crates/bench/", "crates/lint/"];
 
-/// Frame/cluster payload hot paths (legacy file-list scope): per-frame
-/// storage here must come from `sim::pool`. Under graph scoping the rule
-/// instead fires in any reachable fn inside these crates.
-const PAYLOAD_POOL_FILES: &[&str] = &[
+/// Frame/cluster payload hot paths (legacy file-list scope): frames pass
+/// through here as shared `Bytes` views and must not be copied into fresh
+/// per-frame storage. Under graph scoping the rule instead fires in any
+/// reachable fn inside these crates.
+const PAYLOAD_FILES: &[&str] = &[
     "crates/netsim/src/link.rs",
     "crates/netsim/src/fault.rs",
     "crates/mbuf/src/mbuf.rs",
@@ -71,8 +72,8 @@ const PAYLOAD_POOL_FILES: &[&str] = &[
 ];
 
 /// Crate prefixes whose reachable fns are in scope for `payload-alloc`
-/// under graph scoping (kernel-side allocation is legitimate; the pool
-/// discipline applies to frame/cluster payload storage).
+/// under graph scoping (kernel-side allocation is legitimate; the rule
+/// guards the link and mbuf layers that only forward frame storage).
 const PAYLOAD_CRATES: &[&str] = &["crates/netsim/", "crates/mbuf/"];
 
 /// Reachability scope for one file: the byte extents of every reachable fn
@@ -371,9 +372,9 @@ fn wallclock(cx: &ScanCx<'_>, out: &mut Vec<Finding>) {
 /// `p99_ns`, `max_ns`, `bytes` leaves), the windowed-telemetry
 /// `world.timeline.*` namespace (`windows`, `evicted`, `series`,
 /// `window_ns`), and the flight-recorder series names
-/// (`host{i}.tx_bytes`-style per-host leaves plus `world.pool_in_use` /
-/// `world.faults`): lowercase dotted snake_case, with `{…}` format holes
-/// allowed inside a segment.
+/// (`host{i}.tx_bytes`-style per-host leaves plus `world.faults`):
+/// lowercase dotted snake_case, with `{…}` format holes allowed inside a
+/// segment.
 fn metrics_naming(cx: &ScanCx<'_>, out: &mut Vec<Finding>) {
     if !SIM_FACING.iter().any(|p| cx.rel.starts_with(p)) {
         return;
@@ -561,11 +562,10 @@ fn fn_extents(hay: &[u8]) -> Vec<(usize, usize)> {
 }
 
 /// Rule 6: no direct payload allocation on the frame/cluster hot paths.
-/// The netsim link/fault layer and the mbuf cluster path recycle storage
-/// through `sim::pool`; a stray `vec![…]`, `Vec::with_capacity`, or
-/// `.to_vec()` there reintroduces the per-frame allocation the pool exists
-/// to eliminate. Under graph scoping: any reachable fn inside the netsim
-/// or mbuf crates.
+/// The netsim link/fault layer and the mbuf chain forward frames as
+/// shared `Bytes` views; a stray `vec![…]`, `Vec::with_capacity`, or
+/// `.to_vec()` there copies every frame into fresh storage. Under graph
+/// scoping: any reachable fn inside the netsim or mbuf crates.
 fn payload_alloc(cx: &ScanCx<'_>, out: &mut Vec<Finding>) {
     const NEEDLES: &[&str] = &["vec!", "Vec::with_capacity", ".to_vec("];
     let in_payload_crate = PAYLOAD_CRATES.iter().any(|p| cx.rel.starts_with(p));
@@ -573,7 +573,7 @@ fn payload_alloc(cx: &ScanCx<'_>, out: &mut Vec<Finding>) {
         for pos in token_hits(cx.lex, needle, false) {
             let chain = match cx.scope {
                 RuleScope::FileList => {
-                    if !PAYLOAD_POOL_FILES.contains(&cx.rel) {
+                    if !PAYLOAD_FILES.contains(&cx.rel) {
                         continue;
                     }
                     Vec::new()
@@ -594,8 +594,9 @@ fn payload_alloc(cx: &ScanCx<'_>, out: &mut Vec<Finding>) {
                 "payload-alloc",
                 pos,
                 format!(
-                    "`{needle}` on a payload hot path: frame/cluster storage must \
-                     come from sim::pool (pragma a cold path with a reason)"
+                    "`{needle}` on a payload hot path: frames pass by shared \
+                     `Bytes` view, not per-frame copies (pragma a cold path \
+                     with a reason)"
                 ),
                 chain,
             );

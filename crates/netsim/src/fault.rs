@@ -8,9 +8,8 @@
 //! without re-DMAing the body".
 
 use bytes::Bytes;
-use outboard_sim::{BufPool, Dur, Pcg32};
+use outboard_sim::{Dur, Pcg32};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 pub use outboard_sim::rng::{check_probability, FaultConfigError};
 
@@ -90,9 +89,6 @@ pub struct FaultInjector {
     misplaces_armed: u32,
     /// Cumulative fate counts.
     pub stats: FaultStats,
-    /// Optional buffer pool for corruption copies (the only fates that
-    /// rewrite a frame); without one they fall back to plain allocation.
-    pool: Option<Arc<BufPool>>,
 }
 
 impl FaultInjector {
@@ -108,31 +104,6 @@ impl FaultInjector {
             forced: VecDeque::new(),
             misplaces_armed: 0,
             stats: FaultStats::default(),
-            pool: None,
-        }
-    }
-
-    /// Recycle corruption-copy storage through `pool`.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Copy `payload` into a mutable buffer (pooled when a pool is shared)
-    /// and freeze the edited bytes back into a frame.
-    fn edited_copy(&self, payload: &Bytes, edit: impl FnOnce(&mut [u8])) -> Bytes {
-        match &self.pool {
-            Some(p) => {
-                let (mut buf, ticket) = p.acquire(payload.len());
-                buf.copy_from_slice(payload);
-                edit(&mut buf);
-                p.freeze(buf, ticket)
-            }
-            None => {
-                // lint: allow(payload-alloc, pool-less fallback for standalone injectors; worlds always share a pool)
-                let mut buf = payload.to_vec();
-                edit(&mut buf);
-                Bytes::from(buf)
-            }
         }
     }
 
@@ -208,7 +179,7 @@ impl FaultInjector {
             return payload.clone();
         }
         let bit = self.rng.below((payload.len() * 8) as u32) as usize;
-        self.edited_copy(payload, |buf| buf[bit / 8] ^= 1 << (bit % 8))
+        edited_copy(payload, |buf| buf[bit / 8] ^= 1 << (bit % 8))
     }
 
     /// Corrupt `payload` without changing its Internet checksum.
@@ -242,7 +213,7 @@ impl FaultInjector {
                     }
                     if let (Some(set), Some(clear)) = (set_at, clear_at) {
                         self.stats.stealth_corrupted += 1;
-                        return self.edited_copy(payload, |buf| {
+                        return edited_copy(payload, |buf| {
                             buf[start + set] ^= 1 << bit;
                             buf[start + clear] ^= 1 << bit;
                         });
@@ -264,7 +235,7 @@ impl FaultInjector {
     /// divides the span the two ranges are identical and the swap is a no-op.
     fn stealth_misplace(&mut self, payload: &Bytes) -> Bytes {
         self.stats.stealth_misplaced += 1;
-        self.edited_copy(payload, |buf| {
+        edited_copy(payload, |buf| {
             let (first, rest) = buf[HEADER_SKIP..].split_at_mut(MISPLACE_SPAN);
             first.swap_with_slice(&mut rest[..MISPLACE_SPAN]);
         })
@@ -348,6 +319,15 @@ impl FaultInjector {
             duplicate,
         }
     }
+}
+
+/// Copy `payload` into a mutable buffer and freeze the edited bytes back
+/// into a frame.
+fn edited_copy(payload: &Bytes, edit: impl FnOnce(&mut [u8])) -> Bytes {
+    // lint: allow(payload-alloc, only the corrupting fates rewrite a frame; delivered and duplicated frames share the sender's storage)
+    let mut buf = payload.to_vec();
+    edit(&mut buf);
+    Bytes::from(buf)
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 use crate::fault::{Fate, FaultInjector};
 use bytes::Bytes;
 use outboard_sim::obs::Scope;
-use outboard_sim::{BufPool, Dur, Time};
-use std::sync::Arc;
+use outboard_sim::{Dur, Time};
 
 /// A scheduled arrival at the far end of a link.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,12 +155,6 @@ impl Link {
             frames_delivered: 0,
             bytes_delivered: 0,
         }
-    }
-
-    /// Share a buffer pool with this link's fault injector (corruption
-    /// copies recycle frame storage instead of allocating).
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.faults.set_pool(pool);
     }
 
     /// Offer a frame at `now`; returns zero, one, or (duplication) two

@@ -8,9 +8,6 @@
 //! * [`Time`] / [`Dur`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — the scheduler: a binary heap with FIFO tie-breaking
 //!   so same-time events run in insertion order on every platform,
-//! * [`BufPool`] — generation-tagged slab/freelist pools behind the wire
-//!   frame and packet-buffer hot paths (steady-state transfers recycle
-//!   buffers instead of allocating per frame),
 //! * [`Pcg32`] — a small, seedable PRNG with a stable stream (we deliberately
 //!   do not depend on an external RNG crate whose stream could change across
 //!   versions),
@@ -31,7 +28,6 @@
 
 pub mod chaos;
 pub mod obs;
-pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod span;
@@ -41,7 +37,6 @@ pub mod timeline;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
-pub use pool::{BufPool, PoolStats, Ticket};
 pub use queue::EventQueue;
 pub use rng::{check_probability, splitmix64_at, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};

@@ -78,7 +78,7 @@ struct Series {
 
 /// Read-only view of one series, for exports and tests.
 pub struct SeriesView<'a> {
-    /// Dotted taxonomy name (`host0.tx_bytes`, `world.pool_in_use`).
+    /// Dotted taxonomy name (`host0.tx_bytes`, `world.faults`).
     pub name: &'a str,
     /// Counter or gauge.
     pub kind: SeriesKind,
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn gauge_records_levels_and_hwm() {
         let mut tl = Timeline::new(ms(1), 1024);
-        let g = tl.declare("world.pool_in_use", SeriesKind::Gauge, "bufs", 0, 0);
+        let g = tl.declare("host0.netmem_pages", SeriesKind::Gauge, "pages", 0, 0);
         tl.record(&[5]);
         tl.record(&[12]);
         tl.record(&[3]);

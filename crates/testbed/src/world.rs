@@ -13,11 +13,10 @@ use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
 use outboard_sim::timeline::{SeriesKind, Timeline};
-use outboard_sim::{BufPool, Dur, EventQueue, MetricsRegistry, Time};
+use outboard_sim::{Dur, EventQueue, MetricsRegistry, Time};
 use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, TimerKind};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// What a scheduled event does when it fires. (Field meanings follow the
 /// kernel entry points they feed; see [`outboard_stack::Kernel`].)
@@ -200,9 +199,6 @@ pub struct World {
     /// All simulated hosts.
     pub hosts: Vec<Host>,
     queue: EventQueue<Event>,
-    /// Shared frame/cluster buffer pool (every host kernel, CAB, and link
-    /// recycles storage through it; see `sim::pool`).
-    pub pool: Arc<BufPool>,
     /// Directed links keyed by the sending (host, iface).
     pub links: BTreeMap<(usize, IfaceId), Link>,
     /// HIPPI fabric address → (host, iface).
@@ -239,7 +235,6 @@ impl World {
         World {
             hosts: Vec::new(),
             queue: EventQueue::new(),
-            pool: Arc::new(BufPool::new()),
             links: BTreeMap::new(),
             hippi_map: BTreeMap::new(),
             eth_peers: BTreeMap::new(),
@@ -543,14 +538,6 @@ impl World {
                 Self::host_engine_busy_ns(host),
             );
         }
-        let ps = self.pool.stats();
-        tl.declare(
-            "world.pool_in_use",
-            SeriesKind::Gauge,
-            "bufs",
-            world_pid,
-            ps.acquires as i64 - ps.releases as i64,
-        );
         tl.declare(
             "world.faults",
             SeriesKind::Counter,
@@ -616,15 +603,13 @@ impl World {
 
     /// Absolute values of every declared series, in declaration order.
     fn timeline_values(&self) -> Vec<i64> {
-        let mut vals = Vec::with_capacity(self.hosts.len() * 4 + 2);
+        let mut vals = Vec::with_capacity(self.hosts.len() * 4 + 1);
         for host in &self.hosts {
             vals.push(host.kernel.stats.tx_bytes as i64);
             vals.push(Self::host_netmem_pages(host));
             vals.push(host.kernel.stats.tcp_retransmit_segs as i64);
             vals.push(Self::host_engine_busy_ns(host));
         }
-        let ps = self.pool.stats();
-        vals.push(ps.acquires as i64 - ps.releases as i64);
         vals.push(self.fault_events_total());
         vals
     }
@@ -803,23 +788,9 @@ impl World {
             c.counter("deferred_events", st.deferred_events);
             c.counter("down_drops", down_drops);
         }
-        // Pool counters publish only once the pool has been used, so worlds
-        // that never touch it (unit fixtures) keep byte-identical registries
-        // — the same gate the chaos and span stats use.
-        let ps = self.pool.stats();
-        if ps.acquires > 0 {
-            let mut p = w.sub("pool");
-            p.counter("acquires", ps.acquires);
-            p.counter("releases", ps.releases);
-            p.counter("hits", ps.hits);
-            p.counter("misses", ps.misses);
-            p.counter("discards", ps.discards);
-            p.counter("high_water", ps.high_water);
-            p.counter("ticket_errors", ps.ticket_errors);
-        }
         // Timeline counters publish only while the windowed sampler is
         // installed, so unsampled runs keep byte-identical registries —
-        // the same gate the chaos, pool, and span stats use.
+        // the same gate the chaos and span stats use.
         if let Some(st) = &self.timeline {
             let mut t = w.sub("timeline");
             t.counter("windows", st.tl.windows());
@@ -882,8 +853,7 @@ impl World {
 
     /// Add a host with the given machine and stack configuration.
     pub fn add_host(&mut self, name: &str, machine: MachineConfig, cfg: StackConfig) -> usize {
-        let mut kernel = Kernel::new(name, machine.clone(), cfg);
-        kernel.set_pool(Arc::clone(&self.pool));
+        let kernel = Kernel::new(name, machine.clone(), cfg);
         self.hosts.push(Host {
             kernel,
             mem: HostMem::new(),
@@ -911,11 +881,9 @@ impl World {
         self.next_hippi_addr += 2;
         let mtu = 32 * 1024;
 
-        let mut cab_a = outboard_cab::Cab::new(addr_a, self.hosts[a].kernel.cab_config());
-        cab_a.set_pool(Arc::clone(&self.pool));
+        let cab_a = outboard_cab::Cab::new(addr_a, self.hosts[a].kernel.cab_config());
         let if_a = self.hosts[a].kernel.add_cab_iface(ip_a, cab_a, mtu);
-        let mut cab_b = outboard_cab::Cab::new(addr_b, self.hosts[b].kernel.cab_config());
-        cab_b.set_pool(Arc::clone(&self.pool));
+        let cab_b = outboard_cab::Cab::new(addr_b, self.hosts[b].kernel.cab_config());
         let if_b = self.hosts[b].kernel.add_cab_iface(ip_b, cab_b, mtu);
 
         self.hosts[a].kernel.add_route(ip_b, 32, if_a);
@@ -925,10 +893,8 @@ impl World {
 
         self.hippi_map.insert(addr_a, (a, if_a));
         self.hippi_map.insert(addr_b, (b, if_b));
-        let mut link_a = Link::hippi(latency, seed.wrapping_mul(2) + 1);
-        link_a.set_pool(Arc::clone(&self.pool));
-        let mut link_b = Link::hippi(latency, seed.wrapping_mul(2) + 2);
-        link_b.set_pool(Arc::clone(&self.pool));
+        let link_a = Link::hippi(latency, seed.wrapping_mul(2) + 1);
+        let link_b = Link::hippi(latency, seed.wrapping_mul(2) + 2);
         self.links.insert((a, if_a), link_a);
         self.links.insert((b, if_b), link_b);
         (if_a, if_b)
@@ -955,12 +921,8 @@ impl World {
         self.hosts[b].kernel.add_arp_ether(if_b, ip_a, mac_a);
         self.eth_peers.insert((a, if_a), (b, if_b));
         self.eth_peers.insert((b, if_b), (a, if_a));
-        let mut link_a =
-            Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 1);
-        link_a.set_pool(Arc::clone(&self.pool));
-        let mut link_b =
-            Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 2);
-        link_b.set_pool(Arc::clone(&self.pool));
+        let link_a = Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 1);
+        let link_b = Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 2);
         self.links.insert((a, if_a), link_a);
         self.links.insert((b, if_b), link_b);
         (if_a, if_b)

@@ -85,7 +85,7 @@ fn same_seed_timelines_are_byte_identical() {
 fn window_delta_sums_equal_final_registry_counters_under_faults() {
     let m = sampled(17, true, false);
     let facts = series_facts(m.timeline_json.as_ref().unwrap());
-    assert!(facts.len() >= 10, "expected 10 series, got {}", facts.len());
+    assert!(facts.len() >= 9, "expected 9 series, got {}", facts.len());
     for (name, kind, base, final_v, sum) in &facts {
         if kind == "counter" {
             assert_eq!(
@@ -127,7 +127,7 @@ fn window_delta_sums_equal_final_registry_counters_under_faults() {
     assert!(faults.3 > 0, "the fault matrix must actually inject faults");
     // The registry publishes the sampler's own accounting while enabled.
     assert!(m.stats.counter_value("world.timeline.windows") > 0);
-    assert_eq!(m.stats.counter_value("world.timeline.series"), 10);
+    assert_eq!(m.stats.counter_value("world.timeline.series"), 9);
     assert_eq!(m.stats.counter_value("world.timeline.window_ns"), 1_000_000);
 }
 
@@ -146,7 +146,6 @@ fn counter_tracks_merge_into_the_span_trace() {
         "host0.retransmits",
         "host0.engine_busy_ns",
         "host1.tx_bytes",
-        "world.pool_in_use",
         "world.faults",
     ] {
         assert!(
@@ -212,9 +211,9 @@ fn sparklines_summarize_every_series() {
     let s = m.timeline_summary.unwrap();
     assert!(s.starts_with("timeline:"));
     // Header plus one row per series.
-    assert_eq!(s.lines().count(), 11, "summary:\n{s}");
+    assert_eq!(s.lines().count(), 10, "summary:\n{s}");
     assert!(s.contains("host0.tx_bytes"));
-    assert!(s.contains("world.pool_in_use"));
+    assert!(s.contains("world.faults"));
 }
 
 #[test]
