@@ -12,8 +12,8 @@
 //!    parallel results are **identical** to serial (exit 1 on mismatch —
 //!    CI's determinism gate);
 //! 4. `checksum_wide` / `checksum_scalar` — ones-complement checksum
-//!    MB/s through the 8-byte-lane path vs the 16-bit reference path,
-//!    via the shared `outboard_bench::timing` loop. The
+//!    MB/s through the native-order 64-bit-lane path vs the 16-bit
+//!    reference path, via the shared `outboard_bench::timing` loop. The
 //!    wide-over-scalar speedup is a regression gate: below 4x the binary
 //!    exits 1 so scheduler work can't silently regress the checksum
 //!    pillar.
@@ -256,7 +256,7 @@ fn main() {
         ],
     });
 
-    // 4. Checksum throughput: wide 8-byte lanes vs the scalar reference,
+    // 4. Checksum throughput: wide 64-bit lanes vs the scalar reference,
     // measured with the shared timing loop.
     let buf_len = if smoke { 256 * 1024 } else { 4 * 1024 * 1024 };
     let buf: Vec<u8> = (0..buf_len).map(|i| (i * 31 + 7) as u8).collect();

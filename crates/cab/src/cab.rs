@@ -518,14 +518,20 @@ impl Cab {
             }
         }
 
-        // Commit to network memory and run the checksum engine.
+        // Commit to network memory and run the checksum engine. The staging
+        // buffer becomes the packet's storage. A retransmit's header rewrite
+        // is copy-on-write: frames already handed to the media, or adopted
+        // by a peer CAB, share the old buffer and must never change.
         let Some(pkt) = self.netmem.get_mut(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
-        pkt.data[..total].copy_from_slice(&staged);
-        if !req.reuse_body_csum {
-            pkt.valid = total;
-        }
+        let mut data = if req.reuse_body_csum {
+            let mut copy = pkt.data.to_vec();
+            copy[..total].copy_from_slice(&staged);
+            copy
+        } else {
+            staged
+        };
         if let Some(spec) = req.csum {
             let skip = spec.skip_words * 4;
             let body_sum = if req.reuse_body_csum {
@@ -536,13 +542,12 @@ impl Cab {
                 }
             } else {
                 let mut acc = Accumulator::new();
-                acc.add_bytes(&pkt.data[skip..pkt.valid]);
+                acc.add_bytes(&data[skip..]);
                 let s = acc.partial();
                 pkt.saved_body_csum = Some(s);
                 s
             };
-            let seed =
-                u16::from_be_bytes([pkt.data[spec.csum_offset], pkt.data[spec.csum_offset + 1]]);
+            let seed = u16::from_be_bytes([data[spec.csum_offset], data[spec.csum_offset + 1]]);
             let mut final_csum = !fold(seed as u32 + body_sum as u32);
             // An injected checksum-engine fault inserts a wrong sum; the
             // receiver's verification catches it and the transport recovers
@@ -550,9 +555,10 @@ impl Cab {
             if self.faults.csum_miscomputes() {
                 final_csum ^= 0x5555;
             }
-            pkt.data[spec.csum_offset..spec.csum_offset + 2]
-                .copy_from_slice(&final_csum.to_be_bytes());
+            data[spec.csum_offset..spec.csum_offset + 2].copy_from_slice(&final_csum.to_be_bytes());
         }
+        pkt.valid = data.len();
+        pkt.data = Bytes::from(data);
 
         self.stats.sdma_tx_requests += 1;
         Ok(CabEvent::SdmaDone {
@@ -607,10 +613,12 @@ impl Cab {
             }
             None => {}
         }
+        // A view of the packet's shared storage: the bytes are copied once,
+        // into host memory, or handed to the kernel by reference.
         let Some(pkt) = self.netmem.get(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
-        let buf = pkt.data[req.src_off..req.src_off + req.len].to_vec();
+        let buf = pkt.data.slice(req.src_off..req.src_off + req.len);
 
         let misaligned = match req.dst {
             SdmaDst::User { vaddr, .. } => {
@@ -633,7 +641,7 @@ impl Cab {
                     .map_err(CabError::MemFault)?;
                 None
             }
-            SdmaDst::Kernel => Some(Bytes::from(buf)),
+            SdmaDst::Kernel => Some(buf),
         };
         if req.free_packet {
             self.netmem.free(req.packet);
@@ -667,7 +675,7 @@ impl Cab {
                 if pkt.valid == 0 {
                     return Err(CabError::BadRequest("mdma of empty packet"));
                 }
-                Bytes::copy_from_slice(&pkt.data[..pkt.valid])
+                pkt.data.slice(..pkt.valid)
             }
             None => return Err(self.missing_packet(packet, DmaEngine::MdmaTx, now)),
         };
@@ -748,8 +756,9 @@ impl Cab {
             0, // serialization paid on the link; setup only
             self.cfg.media_bps(),
         );
+        // The frame becomes the packet's storage by reference.
         if let Some(pkt) = self.netmem.get_mut(id) {
-            pkt.data[..len].copy_from_slice(&frame);
+            pkt.data = frame.clone();
             pkt.valid = len;
         } else {
             // Freshly allocated above; only reachable if the board is being
@@ -916,6 +925,49 @@ mod tests {
         h
     }
 
+    /// A full transmit: seeded header plus `data_len` user bytes.
+    fn tx_req(
+        packet: PacketId,
+        task: TaskId,
+        seed: u16,
+        data_vaddr: u64,
+        data_len: usize,
+    ) -> SdmaTx {
+        SdmaTx {
+            packet,
+            sg: vec![
+                SgEntry::Inline(Bytes::from(header_with_seed(seed))),
+                SgEntry::User {
+                    task,
+                    vaddr: data_vaddr,
+                    len: data_len,
+                },
+            ],
+            csum: Some(ChecksumSpec {
+                csum_offset: CSUM_OFF,
+                skip_words: SKIP_WORDS,
+            }),
+            reuse_body_csum: false,
+            interrupt_on_complete: true,
+            token: 7,
+        }
+    }
+
+    /// A retransmission: a fresh header only, reusing the saved body sum.
+    fn retx_req(packet: PacketId, seed: u16) -> SdmaTx {
+        SdmaTx {
+            packet,
+            sg: vec![SgEntry::Inline(Bytes::from(header_with_seed(seed)))],
+            csum: Some(ChecksumSpec {
+                csum_offset: CSUM_OFF,
+                skip_words: SKIP_WORDS,
+            }),
+            reuse_body_csum: true,
+            interrupt_on_complete: false,
+            token: 8,
+        }
+    }
+
     fn tx_packet(
         cab: &mut Cab,
         hm: &HostMem,
@@ -926,30 +978,21 @@ mod tests {
     ) -> (PacketId, CabEvent) {
         let id = cab.alloc_packet(HDR + data_len).unwrap();
         let ev = cab
-            .sdma_tx(
-                SdmaTx {
-                    packet: id,
-                    sg: vec![
-                        SgEntry::Inline(Bytes::from(header_with_seed(seed))),
-                        SgEntry::User {
-                            task,
-                            vaddr: data_vaddr,
-                            len: data_len,
-                        },
-                    ],
-                    csum: Some(ChecksumSpec {
-                        csum_offset: CSUM_OFF,
-                        skip_words: SKIP_WORDS,
-                    }),
-                    reuse_body_csum: false,
-                    interrupt_on_complete: true,
-                    token: 7,
-                },
-                Time::ZERO,
-                hm,
-            )
+            .sdma_tx(tx_req(id, task, seed, data_vaddr, data_len), Time::ZERO, hm)
             .unwrap();
         (id, ev)
+    }
+
+    fn body_sum(body: &[u8]) -> u16 {
+        let mut acc = Accumulator::new();
+        acc.add_bytes(body);
+        acc.partial()
+    }
+
+    /// A packet's `valid`, bytes and saved body checksum.
+    fn snapshot(cab: &Cab, id: PacketId) -> (usize, Vec<u8>, Option<u16>) {
+        let p = cab.netmem().get(id).unwrap();
+        (p.valid, p.data.to_vec(), p.saved_body_csum)
     }
 
     /// Software reference for what the hardware should produce.
@@ -991,21 +1034,7 @@ mod tests {
         // Retransmit with a fresh header (different seed, e.g. new ack
         // field): only the header goes over the bus.
         let ev = cab
-            .sdma_tx(
-                SdmaTx {
-                    packet: id,
-                    sg: vec![SgEntry::Inline(Bytes::from(header_with_seed(0x2222)))],
-                    csum: Some(ChecksumSpec {
-                        csum_offset: CSUM_OFF,
-                        skip_words: SKIP_WORDS,
-                    }),
-                    reuse_body_csum: true,
-                    interrupt_on_complete: false,
-                    token: 8,
-                },
-                Time(1_000_000),
-                &hm,
-            )
+            .sdma_tx(retx_req(id, 0x2222), Time(1_000_000), &hm)
             .unwrap();
         assert!(matches!(ev, CabEvent::SdmaDone { .. }));
         assert_eq!(cab.stats.body_csum_reuses, 1);
@@ -1014,6 +1043,107 @@ mod tests {
         let mut got = [0u8; 2];
         cab.read_packet(id, CSUM_OFF, &mut got);
         assert_eq!(u16::from_be_bytes(got), expected_csum(0x2222, &body));
+    }
+
+    #[test]
+    fn header_rewrite_is_copy_on_write() {
+        let (mut cab_a, hm, task) = setup();
+        let mut cab_b = Cab::new(2, CabConfig::default());
+        let (id, sdma) = tx_packet(&mut cab_a, &hm, task, 0x1111, 0x10000, 8192);
+        let CabEvent::FrameOut { frame, .. } = cab_a.mdma_tx(id, 2, 0, sdma.at(), false).unwrap()
+        else {
+            panic!()
+        };
+        let sent = frame.to_vec();
+        let CabEvent::RxReady {
+            packet: Some(rx_id),
+            ..
+        } = cab_b.receive_frame(frame.clone(), Time(2_000_000))
+        else {
+            panic!()
+        };
+
+        // Retransmit with a fresh header while the frame and the peer's
+        // packet still share the sender's storage.
+        cab_a
+            .sdma_tx(retx_req(id, 0x2222), Time(3_000_000), &hm)
+            .unwrap();
+
+        // The sender's packet carries the new header and checksum...
+        let mut body = vec![0u8; 8192];
+        hm.read_user(task, 0x10000, &mut body).unwrap();
+        let mut now = vec![0u8; sent.len()];
+        assert!(cab_a.read_packet(id, 0, &mut now));
+        assert_eq!(now[..CSUM_OFF], header_with_seed(0x2222)[..CSUM_OFF]);
+        let csum = u16::from_be_bytes([now[CSUM_OFF], now[CSUM_OFF + 1]]);
+        assert_eq!(csum, expected_csum(0x2222, &body));
+        assert_ne!(now, sent, "the rewrite changed the checksum field");
+        assert_eq!(now[HDR..], sent[HDR..]);
+        // ...while the emitted frame and the receiver's packet do not move.
+        assert_eq!(frame, sent);
+        let mut rx = vec![0u8; sent.len()];
+        assert!(cab_b.read_packet(rx_id, 0, &mut rx));
+        assert_eq!(rx, sent);
+
+        // A kernel copy-out slice outlives the packet it was cut from.
+        let ev = cab_b
+            .sdma_rx(
+                SdmaRx {
+                    packet: rx_id,
+                    src_off: HDR,
+                    len: 8192,
+                    dst: SdmaDst::Kernel,
+                    free_packet: true,
+                    interrupt_on_complete: false,
+                    token: 4,
+                },
+                Time(4_000_000),
+                &mut HostMem::new(),
+            )
+            .unwrap();
+        let CabEvent::SdmaDone {
+            data: Some(data), ..
+        } = ev
+        else {
+            panic!()
+        };
+        assert!(!cab_b.packet_exists(rx_id));
+        assert_eq!(data, sent[HDR..]);
+    }
+
+    #[test]
+    fn mem_fault_commits_nothing() {
+        let (mut cab, hm, task) = setup();
+        let (id, _) = tx_packet(&mut cab, &hm, task, 0x1111, 0x10000, 4096);
+        let before = snapshot(&cab, id);
+        // The task region is 256 KiB at 0x10000; this gather runs 3 KiB past
+        // its end, after the header entry has already been staged.
+        let overrun = 0x10000 + 256 * 1024 - 1000;
+        let err = cab
+            .sdma_tx(
+                tx_req(id, task, 0x3333, overrun, 4096),
+                Time(1_000_000),
+                &hm,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CabError::MemFault(_)), "{err:?}");
+        assert_eq!(snapshot(&cab, id), before, "a fault commits nothing");
+
+        // A correct request on the same packet then succeeds.
+        cab.sdma_tx(
+            tx_req(id, task, 0x3333, 0x10000 + 100, 4096),
+            Time(2_000_000),
+            &hm,
+        )
+        .unwrap();
+        let mut body = vec![0u8; 4096];
+        hm.read_user(task, 0x10000 + 100, &mut body).unwrap();
+        let (valid, bytes, saved) = snapshot(&cab, id);
+        assert_eq!(valid, HDR + 4096);
+        assert_eq!(bytes[HDR..], body[..]);
+        assert_eq!(saved, Some(body_sum(&bytes[HDR..])));
+        let csum = u16::from_be_bytes([bytes[CSUM_OFF], bytes[CSUM_OFF + 1]]);
+        assert_eq!(csum, expected_csum(0x3333, &body));
     }
 
     #[test]

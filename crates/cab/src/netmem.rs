@@ -9,6 +9,7 @@
 
 #[cfg(feature = "dma-check")]
 use crate::ownership::{DmaEngine, DmaOwnershipViolation, OwnershipJournal};
+use bytes::Bytes;
 #[cfg(feature = "dma-check")]
 use outboard_sim::Time;
 use std::collections::BTreeMap;
@@ -22,8 +23,11 @@ pub struct PacketId(pub u64);
 pub struct PacketBuf {
     /// Allocated (maximum) length in bytes.
     pub cap: usize,
-    /// Packet contents (`cap` bytes; `valid` of them written so far).
-    pub data: Vec<u8>,
+    /// Packet contents: exactly the `valid` bytes written so far, held as
+    /// one shared, immutable buffer. Frames handed to the media and
+    /// copy-out slices share it by reference, so a rewrite replaces the
+    /// buffer (copy-on-write) rather than editing it in place.
+    pub data: Bytes,
     /// Bytes written so far (SDMA progress / full frame length on receive).
     pub valid: usize,
     /// Body checksum saved by the transmit SDMA engine on the first
@@ -137,7 +141,8 @@ impl NetworkMemory {
     }
 
     /// Allocate a page-aligned packet buffer of `len` bytes. Returns `None`
-    /// when the pool cannot satisfy the request.
+    /// when the pool cannot satisfy the request. Only pages are reserved:
+    /// the buffer holds no bytes until an SDMA or an arriving frame fills it.
     pub fn alloc(&mut self, len: usize) -> Option<PacketId> {
         if len == 0 {
             return None;
@@ -156,7 +161,7 @@ impl NetworkMemory {
             id,
             PacketBuf {
                 cap: len,
-                data: vec![0; len],
+                data: Bytes::new(),
                 valid: 0,
                 saved_body_csum: None,
                 pages,
@@ -293,7 +298,7 @@ mod tests {
         let id = nm.alloc(100).unwrap();
         {
             let p = nm.get_mut(id).unwrap();
-            p.data[..50].copy_from_slice(&[7u8; 50]);
+            p.data = Bytes::from(vec![7u8; 50]);
             p.valid = 50;
         }
         let mut buf = [0u8; 10];

@@ -96,11 +96,13 @@ impl Accumulator {
 
     /// Append bytes to the running sum.
     ///
-    /// The inner loop folds 8-byte lanes: because `2^16 ≡ 1 (mod 0xFFFF)`,
-    /// summing 32-bit big-endian words gives the same folded 16-bit value
-    /// as summing 16-bit words, so each chunk contributes two `u32` reads
-    /// instead of four `u16` reads. Byte parity across calls is preserved
-    /// by the same `odd` bookkeeping as the scalar path, and
+    /// The inner loop adds native-order 64-bit lanes, 16 bytes at a time
+    /// into two accumulators with end-around carry, so neither ever
+    /// overflows. Because `2^16 ≡ 1 (mod 0xFFFF)` a 64-bit lane sums the
+    /// same as its four 16-bit words, and by RFC 1071 §2(B) a sum taken in
+    /// native byte order is the network-order sum byte-swapped: the lanes
+    /// fold once and swap once per call. Byte parity across calls is
+    /// preserved by the same `odd` bookkeeping as the scalar path, and
     /// [`Accumulator::add_bytes_scalar`] remains as the property-tested
     /// reference.
     pub fn add_bytes(&mut self, mut data: &[u8]) {
@@ -111,36 +113,36 @@ impl Accumulator {
             data = &data[1..];
             self.odd = false;
         }
-        // Bound each block so its local sum stays far from u64 overflow
-        // (a 1 GiB block of 0xFFFFFFFF words sums to < 2^60). The block
-        // size is a multiple of 8, so only the final block sees a lane
-        // remainder or an odd tail.
-        const BLOCK: usize = 1 << 30;
-        for block in data.chunks(BLOCK) {
-            let mut s: u64 = 0;
-            let mut lanes = block.chunks_exact(8);
-            for c in &mut lanes {
-                s += u32::from_be_bytes([c[0], c[1], c[2], c[3]]) as u64
-                    + u32::from_be_bytes([c[4], c[5], c[6], c[7]]) as u64;
-            }
-            let rem = lanes.remainder();
-            let mut words = rem.chunks_exact(2);
-            for c in &mut words {
-                s += u16::from_be_bytes([c[0], c[1]]) as u64;
-            }
-            // Fold lazily, only when the running sum gets near the top of
-            // the u64 range (not on every call): ones-complement folding
-            // commutes with addition, so deferring it is free, and eager
-            // per-call folds cost a loop on the hot path.
-            if self.sum >= FOLD_AT {
-                self.sum = fold_u64(self.sum);
-            }
-            self.sum += s;
-            let tail = words.remainder();
-            if !tail.is_empty() {
-                self.sum += (tail[0] as u64) << 8;
-                self.odd = true;
-            }
+        let (mut a, mut b) = (0u64, 0u64);
+        let mut lanes = data.chunks_exact(16);
+        for c in &mut lanes {
+            a = add_carry(
+                a,
+                u64::from_ne_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]),
+            );
+            b = add_carry(
+                b,
+                u64::from_ne_bytes([c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15]]),
+            );
+        }
+        let mut s = add_carry(a, b);
+        let rem = lanes.remainder();
+        let mut words = rem.chunks_exact(2);
+        for c in &mut words {
+            s = add_carry(s, u16::from_ne_bytes([c[0], c[1]]) as u64);
+        }
+        let native = fold_u64(s) as u16;
+        // The running sum takes one folded 16-bit value per call, so it is
+        // folded only when it nears the top of the u64 range:
+        // ones-complement folding commutes with addition.
+        if self.sum >= FOLD_AT {
+            self.sum = fold_u64(self.sum);
+        }
+        self.sum += u16::from_be_bytes(native.to_ne_bytes()) as u64;
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self.sum += (tail[0] as u64) << 8;
+            self.odd = true;
         }
     }
 
@@ -201,11 +203,20 @@ impl Accumulator {
     }
 }
 
-/// Lazy-fold threshold: a running sum is folded only when it could
-/// plausibly overflow with one more block's worth of additions (a 1 GiB
-/// block of maximal words adds < 2^60). Far above `u32::MAX`, which the
-/// accumulator used to fold at on every call.
+/// Lazy-fold threshold: a running sum is folded only when it nears the
+/// top of the u64 range (each `add_bytes` call adds under 2^17; the
+/// scalar path folds its local sum at the same mark). Far above
+/// `u32::MAX`, which the accumulator used to fold at on every call.
 const FOLD_AT: u64 = 1 << 62;
+
+/// Ones-complement 64-bit addition: the carry out of the top bit wraps
+/// around into the bottom (RFC 1071 §2(C)). The result cannot overflow
+/// again, since a wrapped sum is at most `2^64 - 2`.
+#[inline]
+fn add_carry(a: u64, b: u64) -> u64 {
+    let (s, carry) = a.overflowing_add(b);
+    s + u64::from(carry)
+}
 
 #[inline]
 fn fold_u64(mut sum: u64) -> u64 {
@@ -294,6 +305,37 @@ mod tests {
                 scalar.add_bytes_scalar(slice);
                 assert_eq!(wide.partial(), scalar.partial(), "start {start} len {len}");
                 assert_eq!(wide.len(), scalar.len());
+            }
+        }
+        // Saturating inputs: all-ones lanes carry out of the top bit on
+        // every add, and alternating 0xFF/0x00 lanes overflow after a few
+        // thousand. Lengths straddle the 16-byte stride up to 64 KiB.
+        let mut ks: Vec<usize> = (1..=16).collect();
+        for j in 5..=12 {
+            ks.extend([(1 << j) - 1, 1 << j, (1 << j) + 1]);
+        }
+        ks.retain(|&k| 16 * k < 64 * 1024);
+        ks.push(4096);
+        let ones = vec![0xFFu8; 64 * 1024 + 32];
+        let alternating: Vec<u8> = (0..ones.len())
+            .map(|i| if i % 2 == 0 { 0xFF } else { 0x00 })
+            .collect();
+        for (name, buf) in [("ones", &ones), ("alternating", &alternating)] {
+            for &k in &ks {
+                for len in 16 * k - 1..=16 * k + 1 {
+                    for start in 0..16 {
+                        let slice = &buf[start..start + len];
+                        let mut wide = Accumulator::new();
+                        wide.add_bytes(slice);
+                        let mut scalar = Accumulator::new();
+                        scalar.add_bytes_scalar(slice);
+                        assert_eq!(
+                            wide.partial(),
+                            scalar.partial(),
+                            "{name} start {start} len {len}"
+                        );
+                    }
+                }
             }
         }
         // Odd-parity carry across calls: split a buffer at every point and
@@ -427,7 +469,7 @@ mod proptests {
             prop_assert_eq!(acc.finish(), whole);
         }
 
-        /// The 8-byte-lane path equals the scalar reference under any
+        /// The native-order 64-bit-lane path equals the scalar reference under any
         /// chunking of the input (parity carries across both).
         #[test]
         fn wide_equals_scalar_any_chunking(data in proptest::collection::vec(any::<u8>(), 0..4096),
